@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 
 from .errors import ValidationError
 
+# the one cap on the ground set size, for tables and matrices alike
 MAX_GROUND = 24
 
 

@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .bitsets import complement, elements, full_mask, mask_of, subsets
+from .bitsets import MAX_GROUND, complement, elements, full_mask, mask_of, subsets
 from .errors import ConsistencyError, PreconditionError, ValidationError
 from .families import WeightedFamily, singleton_family
 from .rationals import GAUSS_TOL
@@ -50,8 +50,8 @@ class PDMatrix:
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1 or a.shape[0] > 24:
-            raise ValidationError(f"order must be in 1..24, got {a.shape[0]}")
+        if a.shape[0] < 1 or a.shape[0] > MAX_GROUND:
+            raise ValidationError(f"order must be in 1..{MAX_GROUND}, got {a.shape[0]}")
         scale = float(np.max(np.abs(a))) or 1.0
         if float(np.max(np.abs(a - a.T))) > _SYM_TOL * scale:
             raise ValidationError("matrix is not symmetric")

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .bitsets import mask_of, elements
+from .bitsets import MAX_GROUND, mask_of, elements
 from .errors import ValidationError
 from .families import WeightedFamily
 from .gauss import PDMatrix
@@ -108,9 +108,9 @@ def load_setfn(obj: Any) -> SetFunction:
     if not isinstance(label, str):
         raise ValidationError("setfn.label: expected a string")
     raw = _as_list(_field(obj, "values", "setfn"), "setfn.values")
-    if not 1 <= n <= 24 or len(raw) != 1 << n:
+    if not 1 <= n <= MAX_GROUND or len(raw) != 1 << n:
         raise ValidationError(
-            f"setfn.values: expected 2^n = {1 << n if 1 <= n <= 24 else '?'} "
+            f"setfn.values: expected 2^n = {1 << n if 1 <= n <= MAX_GROUND else '?'} "
             f"entries for n={n}, got {len(raw)}"
         )
     if kind == "rational":

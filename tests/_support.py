@@ -16,8 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 from fracsub import JointDistribution, SetFunction, WeightedFamily
-from fracsub.bitsets import full_mask, subsets
+from fracsub.bitsets import full_mask, iter_bits, subsets
 from fracsub.lp import Constraint, RationalLP
+from fracsub.rationals import effective_tol
+from fracsub.setfn import Verdict
 
 
 @contextmanager
@@ -108,6 +110,45 @@ def submodular_by_definition(f: SetFunction, tol: float = 0.0) -> bool:
             if vals[s] + vals[t] < vals[s | t] + vals[s & t] - tol:
                 return False
     return True
+
+
+def submodular_by_loops(f: SetFunction, tol: float | None = None) -> Verdict:
+    """Local-exchange scan over (S, i, j) in table order, one cell at a time."""
+    eps = effective_tol(f.is_rational, tol)
+    n, vals = f.n, f.values
+    for s in subsets(n):
+        free = full_mask(n) & ~s
+        for i in iter_bits(free):
+            bi = 1 << i
+            fi = vals[s | bi]
+            for j in iter_bits(free >> (i + 1)):
+                bj = 1 << (i + 1 + j)
+                if fi + vals[s | bj] < vals[s | bi | bj] + vals[s] - eps:
+                    return Verdict(False, (s | bi, s | bj))
+    return Verdict(True)
+
+
+def modular_by_loops(f: SetFunction, tol: float | None = None) -> Verdict:
+    """First subset whose value is not the sum of its singleton values."""
+    eps = effective_tol(f.is_rational, tol)
+    vals = f.values
+    singles = [vals[1 << i] for i in range(f.n)]
+    for a in subsets(f.n):
+        acc = sum(singles[i] for i in iter_bits(a))
+        if abs(vals[a] - acc) > eps:
+            return Verdict(False, a)
+    return Verdict(True)
+
+
+def nondecreasing_by_loops(f: SetFunction, tol: float | None = None) -> Verdict:
+    """First covering pair (S, S + i) in table order with a drop."""
+    eps = effective_tol(f.is_rational, tol)
+    n, vals = f.n, f.values
+    for s in subsets(n):
+        for i in iter_bits(full_mask(n) & ~s):
+            if vals[s | (1 << i)] < vals[s] - eps:
+                return Verdict(False, (s, s | (1 << i)))
+    return Verdict(True)
 
 
 def random_modular_table(n: int, rng: random.Random) -> SetFunction:

@@ -94,6 +94,16 @@ def test_gaps_bad_inputs(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+def test_gaps_rejects_nan_table(capsys, tmp_path):
+    # json.dumps writes the non-standard NaN token, which json.loads accepts
+    bad = write(tmp_path, "nan.json", {"n": 2, "values": [0.0, float("nan"), 1.0, 1.0], "scalar": "float"})
+    fam = write(tmp_path, "g.json", dump_family(singleton_family(2)))
+    code, out, err = run(capsys, "gaps", bad, fam)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 # ------------------------------------------------------------- certify
 
 

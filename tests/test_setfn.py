@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,10 +15,20 @@ from fracsub import (
     is_prefix_nondecreasing,
     is_submodular,
 )
+from fracsub.bitsets import iter_bits
 from fracsub.errors import PreconditionError, ValidationError
 from fracsub.fixtures import zero_gap_nonmonotone
 
-from _support import random_modular_table, submodular_by_definition
+from _support import (
+    modular_by_loops,
+    nondecreasing_by_loops,
+    random_modular_table,
+    submodular_by_definition,
+    submodular_by_loops,
+    under_seconds,
+)
+
+F = Fraction
 
 
 def test_table_length_enforced():
@@ -47,6 +59,38 @@ def test_n_bounds():
         SetFunction(n=0, values=(0,))
     with pytest.raises(ValidationError):
         SetFunction(n=25, values=(0,) * (1 << 25))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValidationError):
+        SetFunction(2, (0.0, bad, 1.0, 1.0))
+    with pytest.raises(ValidationError):
+        PartialSetFunction(n=2, entries=((1, 0.0), (3, bad)))
+
+
+def test_values_round_trip_through_the_table():
+    vals = (F(0), F(1, 3), F(-5, 4), F(7, 6))
+    f = SetFunction(2, vals)
+    assert f.values == vals and f.denominator == 12
+    assert all(type(v) is Fraction for v in f.values)
+    g = SetFunction(2, (0.0, 0.1, -2.5, 1e300))
+    assert g.values == (0.0, 0.1, -2.5, 1e300) and g.denominator is None
+    assert all(type(g.value(m)) is float for m in range(4))
+
+
+def test_huge_rationals_keep_exact_python_ints():
+    big = F(10**30 + 1, 10**12 - 11)
+    f = SetFunction(1, (F(0), big))
+    assert f.table.dtype == object
+    assert f.value(1) == big
+    assert SetFunction(1, (F(0), F(1, 3))).table.dtype == np.int64
+    # each value fits int64 but f({1}) + f({2}) does not
+    g = SetFunction(2, (0, 2**62, 2**62, 2**62 + 2**61))
+    assert g.table.dtype == object
+    assert is_submodular(g) and is_nondecreasing(g)
+    v = is_modular(g)
+    assert not v and v.witness == 0b11
 
 
 def test_partial_duplicate_subset_rejected():
@@ -154,3 +198,86 @@ def test_generator_rejects_bad_kind_and_entropy_limit():
         generate_submodular(3, seed=0, kind="nope")
     with pytest.raises(ValidationError):
         generate_submodular(13, seed=0, kind="entropy")
+
+
+@st.composite
+def scan_cases(draw):
+    """A modular-plus-concave table with a few bumped cells, and a tol.
+
+    The base is submodular (and often monotone or modular), so the
+    bumps place a handful of violations at scattered subsets and the
+    first one in table order is a real choice.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["int", "float", "huge"]))
+    singles = draw(st.lists(st.integers(-3, 9), min_size=n, max_size=n))
+    curve = draw(st.integers(0, 3))
+    base = [
+        sum(singles[i] for i in iter_bits(m)) + curve * c * (2 * n - c)
+        for m in range(1 << n)
+        for c in [m.bit_count()]
+    ]
+    bumps = draw(
+        st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(-3, 3)), max_size=4)
+    )
+    if kind == "int":
+        vals = [F(b) for b in base]
+        for m, d in bumps:
+            vals[m] += d
+    elif kind == "float":
+        # a scale of 0.1 makes the sums round, and bumps the size of a
+        # tolerance put comparisons on its edge, so the expression order shows
+        scale = draw(st.sampled_from([1.0, 0.1]))
+        step = draw(st.sampled_from([1.0, 2e-3, 1e-3, 5e-4, 2.0**-30]))
+        vals = [b * scale for b in base]
+        for m, d in bumps:
+            vals[m] += d * step
+    else:
+        # numerators far past int64, over unrelated ~10**12 denominators
+        den = draw(st.integers(10**11, 10**12))
+        vals = [F(b * 10**30, den) for b in base]
+        for m, d in bumps:
+            vals[m] += F(d * 10**29, draw(st.integers(10**11, 10**12)))
+    tol = draw(st.sampled_from([None, 0.0, 1e-3]))
+    f = SetFunction(n, tuple(vals))
+    if kind == "huge" and any(vals):
+        assert f.table.dtype == object
+    return f, tol
+
+
+def _python_ints(w):
+    return w is None or type(w) is int or all(type(x) is int for x in w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan_cases())
+def test_scans_match_loop_oracles(case):
+    f, tol = case
+    for fast, oracle in (
+        (is_submodular, submodular_by_loops),
+        (is_nondecreasing, nondecreasing_by_loops),
+        (is_modular, modular_by_loops),
+    ):
+        got = fast(f, tol)
+        assert got == oracle(f, tol), fast.__name__
+        assert _python_ints(got.witness)
+
+
+def test_float_verdict_follows_scalar_expression_order():
+    # exactly 1.5 + 0.2 = 1.2 + 0.501 - 1e-3; in binary64 the right side
+    # rounds above the left, while 1.2 + (0.501 - 1e-3) would not
+    f = SetFunction(2, (0.501, 1.5, 0.2, 1.2))
+    assert 1.5 + 0.2 < 1.2 + 0.501 - 1e-3
+    assert not 1.5 + 0.2 < 1.2 + (0.501 - 1e-3)
+    v = is_submodular(f, 1e-3)
+    assert not v and v.witness == (0b01, 0b10)
+    assert v == submodular_by_loops(f, 1e-3)
+
+
+def test_scans_finish_fast_at_n16():
+    f = generate_submodular(16, seed=0, kind="coverage")
+    with under_seconds(2.0, "three scans at n=16"):
+        sub = is_submodular(f)
+        mono = is_nondecreasing(f)
+        mod = is_modular(f)
+    assert (sub.ok, mono.ok, mod.ok) == (True, True, False)
