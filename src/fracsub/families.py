@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .bitsets import check_mask, complement, full_mask, iter_bits
 from .errors import PreconditionError, ValidationError
 from . import lp
@@ -46,15 +48,15 @@ class FamilyClassification:
 
 
 def _coerce_weight(raw) -> Fraction:
-    if isinstance(raw, bool):
-        raise ValidationError("bool is not a weight")
-    if isinstance(raw, int):
-        raw = Fraction(raw)
     if not isinstance(raw, Fraction):
-        raise ValidationError(
-            f"weights must be exact rationals, got {type(raw).__name__}"
-        )
-    if raw < 0:
+        if isinstance(raw, bool):
+            raise ValidationError("bool is not a weight")
+        if not isinstance(raw, int):
+            raise ValidationError(
+                f"weights must be exact rationals, got {type(raw).__name__}"
+            )
+        raw = Fraction(raw)
+    if raw.numerator < 0:  # the denominator of a Fraction is positive
         raise ValidationError(f"negative weight {raw}")
     return raw
 
@@ -81,10 +83,17 @@ class WeightedFamily:
 
     @cached_property
     def classification(self) -> FamilyClassification:
-        cov = [Fraction(0)] * self.n
+        # members counted per element in ints, one group per distinct
+        # weight; then one exact product per (weight, element)
+        by_weight: dict[tuple[int, int], tuple[Fraction, list[int]]] = {}
         for mask, w in self.members:
-            for b in iter_bits(mask):
-                cov[b] += w
+            by_weight.setdefault((w.numerator, w.denominator), (w, []))[1].append(mask)
+        cov = [Fraction(0)] * self.n
+        for w, masks in by_weight.values():
+            counts = _member_bits(masks, self.n).sum(axis=0).tolist()
+            for i, count in enumerate(counts):
+                if count:
+                    cov[i] += w * count
         over = tuple(i + 1 for i, c in enumerate(cov) if c > 1)
         under = tuple(i + 1 for i, c in enumerate(cov) if c < 1)
         if not over and not under:
@@ -146,7 +155,8 @@ class WeightedFamily:
         full = full_mask(self.n)
         if any(m == full for m, _ in self.members):
             return False
-        if self.n > 1 and len(_signature_groups(self)) < self.n:
+        masks = [m for m, _ in self.members]
+        if self.n > 1 and len(_signature_groups(_member_bits(masks, self.n))) < self.n:
             return False
         return True
 
@@ -164,32 +174,47 @@ class WeightedFamily:
             kept = [(m, w * scale) for m, w in kept if m != full]
         if not kept:
             raise PreconditionError("empty family after normalization")
-        groups = _signature_groups(WeightedFamily(self.n, tuple(kept)))
+        bits = _member_bits([m for m, _ in kept], self.n)
+        groups = _signature_groups(bits)
         merge_map = {}
         for new_idx, group in enumerate(groups, start=1):
             for b in iter_bits(group):
                 merge_map[b + 1] = new_idx
-        reps = [group & -group for group in groups]
-        new_members = []
-        for mask, w in kept:
-            nm = 0
-            for gi, rep in enumerate(reps):
-                if mask & rep:
-                    nm |= 1 << gi
-            new_members.append((nm, w))
-        return WeightedFamily(len(groups), tuple(new_members)), merge_map
+        # a member's new mask holds bit gi iff it contains class gi's
+        # smallest element (then it contains the whole class)
+        reps = [(group & -group).bit_length() - 1 for group in groups]
+        packed = np.packbits(bits[:, reps], axis=1, bitorder="little")
+        raw, width = packed.tobytes(), packed.shape[1]
+        new_members = tuple(
+            (int.from_bytes(raw[k * width : (k + 1) * width], "little"), w)
+            for k, (_, w) in enumerate(kept)
+        )
+        return WeightedFamily(len(groups), new_members), merge_map
 
 
-def _signature_groups(wf: WeightedFamily) -> list[int]:
+def _member_bits(masks: list[int], n: int) -> np.ndarray:
+    """0/1 matrix with one row per mask: entry (k, i) is bit i of masks[k]."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width),
+        axis=1,
+        count=n,
+        bitorder="little",
+    )
+
+
+def _signature_groups(bits: np.ndarray) -> list[int]:
     """Partition ground elements into co-occurrence classes.
 
-    Two elements belong to one class iff every member contains both or
-    neither.  Classes are returned as masks on the original ground set,
-    ordered by smallest element.
+    bits is the member-by-element matrix of ``_member_bits``.  Two
+    elements belong to one class iff every member contains both or
+    neither, i.e. their columns are equal.  Classes are returned as
+    masks on the original ground set, ordered by smallest element.
     """
-    sig: dict[tuple[bool, ...], int] = {}
-    for i in range(wf.n):
-        key = tuple(bool((m >> i) & 1) for m, _ in wf.members)
+    sig: dict[bytes, int] = {}
+    for i in range(bits.shape[1]):
+        key = bits[:, i].tobytes()
         sig[key] = sig.get(key, 0) | (1 << i)
     return sorted(sig.values(), key=lambda g: g & -g)
 

@@ -8,6 +8,10 @@ statement applies; the gap of h against a family is, up to the factor
 1/2 and the constant terms (which cancel exactly on a partition), a
 determinant inequality: Hadamard for singletons, Szasz for the
 k-subsets, Fischer for a complementary pair.
+
+Principal minors are factored in stacks: ``log_principal_minors``
+gathers the minors of one size and hands them to one
+np.linalg.cholesky call, which factors each of them on its own.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .setfn import SetFunction
 __all__ = [
     "PDMatrix",
     "log_principal_minor",
+    "log_principal_minors",
     "principal_minor",
     "gaussian_entropy_setfn",
     "DetEqualityReport",
@@ -74,20 +79,57 @@ def principal_minor(K: PDMatrix, mask: int) -> np.ndarray:
     return K.entries[np.ix_(idx, idx)]
 
 
+# entries per stack of same-size minors: bounds a stack at 4 MiB
+_STACK_ENTRIES = 1 << 19
+
+
+def log_principal_minors(K: PDMatrix, masks) -> np.ndarray:
+    """ln det K(mask) for every mask, the empty minor contributing 0.
+
+    Minors of one size are gathered into a stack and factored by one
+    np.linalg.cholesky call.  The stack still factors every minor on
+    its own, which keeps each value independently certified PD instead
+    of trusting cancellation in a shared factorization.  If a stack
+    fails, the masks are factored one at a time, in order, so the error
+    names the first minor that is not PD.
+    """
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    if np.any((masks < 0) | (masks >> K.n != 0)):
+        raise ValidationError(f"masks must lie in the table of [1:{K.n}]")
+    out = np.zeros(masks.size)
+    bits = ((masks[:, None] >> np.arange(K.n)) & 1).astype(np.uint8)
+    sizes = bits.sum(axis=1)
+    for k in range(1, K.n + 1):
+        group = np.flatnonzero(sizes == k)
+        step = max(1, _STACK_ENTRIES // (k * k))
+        for start in range(0, group.size, step):
+            sel = group[start : start + step]
+            idx = np.nonzero(bits[sel])[1].reshape(sel.size, k)
+            try:
+                low = np.linalg.cholesky(K.entries[idx[:, :, None], idx[:, None, :]])
+            except np.linalg.LinAlgError:
+                return _log_minors_one_by_one(K, masks.tolist())
+            out[sel] = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
+    return out
+
+
+def _log_minors_one_by_one(K: PDMatrix, masks: list[int]) -> np.ndarray:
+    out = np.zeros(len(masks))
+    for i, mask in enumerate(masks):
+        if mask:
+            try:
+                low = np.linalg.cholesky(principal_minor(K, mask))
+            except np.linalg.LinAlgError:
+                raise ValidationError(
+                    f"principal minor on {elements(mask)} is not positive definite"
+                ) from None
+            out[i] = 2.0 * np.sum(np.log(np.diag(low)))
+    return out
+
+
 def log_principal_minor(K: PDMatrix, mask: int) -> float:
     """ln det K(mask), with the empty minor contributing 0."""
-    if mask == 0:
-        return 0.0
-    sub = principal_minor(K, mask)
-    # a fresh factorization per subset keeps each value independently
-    # certified PD instead of trusting cancellation in a shared one
-    try:
-        low = np.linalg.cholesky(sub)
-    except np.linalg.LinAlgError:
-        raise ValidationError(
-            f"principal minor on {elements(mask)} is not positive definite"
-        ) from None
-    return 2.0 * float(np.sum(np.log(np.diag(low))))
+    return float(log_principal_minors(K, [mask])[0])
 
 
 _LOG_2PIE = math.log(2.0 * math.pi * math.e)
@@ -96,11 +138,12 @@ _LOG_2PIE = math.log(2.0 * math.pi * math.e)
 def gaussian_entropy_setfn(K: PDMatrix) -> SetFunction:
     """Differential entropy h(F) in nats of the Gaussian with covariance K."""
     n = K.n
-    values = []
-    for mask in subsets(n):
-        size = mask.bit_count()
-        values.append(0.5 * (size * _LOG_2PIE + log_principal_minor(K, mask)))
-    return SetFunction(n=n, values=tuple(values), label="gaussian-entropy")
+    logs = log_principal_minors(K, np.arange(1 << n)).tolist()
+    values = tuple(
+        0.5 * (mask.bit_count() * _LOG_2PIE + log_minor)
+        for mask, log_minor in zip(subsets(n), logs)
+    )
+    return SetFunction(n=n, values=values, label="gaussian-entropy")
 
 
 @dataclass(frozen=True)
@@ -151,9 +194,11 @@ def det_equality_check(
         tuple(sorted(g)) for _, g in sorted(groups.items())
     )
 
-    log_rhs = log_principal_minor(K, full_mask(K.n))
+    log_rhs, *log_members = log_principal_minors(
+        K, [full_mask(K.n)] + [m for m, _ in wf.members]
+    ).tolist()
     log_lhs = math.fsum(
-        float(w) * log_principal_minor(K, m) for m, w in wf.members
+        float(w) * log_m for (_, w), log_m in zip(wf.members, log_members)
     )
     log_gap = log_lhs - log_rhs
     equality = bool(abs(log_gap) <= tol)

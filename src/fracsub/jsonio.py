@@ -232,7 +232,10 @@ def load_distribution(obj: Any) -> JointDistribution:
         _as_int(s, f"distribution.alphabets[{i}]") for i, s in enumerate(sizes)
     )
     raw = _as_list(_field(obj, "pmf", "distribution"), "distribution.pmf")
-    flat = [_parse_float_value(v, f"distribution.pmf[{i}]") for i, v in enumerate(raw)]
+    if all(type(v) is float or type(v) is int for v in raw):
+        flat = raw  # what json.loads gives; checked in one pass
+    else:
+        flat = [_parse_float_value(v, f"distribution.pmf[{i}]") for i, v in enumerate(raw)]
     total = 1
     for s in sizes:
         total *= s

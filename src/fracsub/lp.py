@@ -1,24 +1,31 @@
 """Exact linear programming over the rationals.
 
-Primal simplex, two phases, Bland's anti-cycling rule, every number a
-fractions.Fraction.  Problems are stated as
+Primal simplex, two phases, Bland's anti-cycling rule, in exact
+integer arithmetic.  Problems are stated as
 
     maximize c . x   subject to rows (a, rel, b) with rel in {=, <=, >=}
     and x >= 0.
 
-There is no presolve and no scaling; infeasibility and unboundedness
-are detected explicitly (phase 1 optimum below zero, respectively an
-entering column with no positive pivot).  Binary64 objective costs can
-be embedded exactly because every float is a rational.
+with fractions.Fraction coefficients in and out.  There is no presolve
+and no scaling; infeasibility and unboundedness are detected explicitly
+(phase 1 optimum below zero, respectively an entering column with no
+positive pivot).  Binary64 objective costs can be embedded exactly
+because every float is a rational.
 
-The implementation recomputes reduced costs from the tableau each
-iteration instead of carrying a factorization; at the desk scale this
-package targets (tens of variables) that is both simple and fast, and
-exactness makes certificates re-verifiable with zero residual.
+Each tableau row is a list of Python-int numerators over one positive
+int denominator, reduced by their gcd after every pivot, and the costs
+are ints over their common denominator.  Reduced costs are recomputed
+each iteration as C_j Q - sum_r w_r N_r[j] with Q the lcm of the row
+denominators, and the ratio test cross-multiplies, so every pivot is
+the one a Fraction tableau would choose.  Carrying no factorization is
+simple and fast at the desk scale this package targets (tens of
+variables), and exactness makes certificates re-verifiable with zero
+residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,129 +80,165 @@ class LPOutcome:
     value: Fraction | None = None
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    prow = tableau[row]
-    for r, trow in enumerate(tableau):
-        if r != row and trow[col] != 0:
-            f = trow[col]
-            tableau[r] = [x - f * y for x, y in zip(trow, prow)]
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [a // g for a in nums], den // g
+
+
+def _pivot(
+    rows: list[list[int]], dens: list[int], basis: list[int], row: int, col: int
+) -> None:
+    """Make column col a unit vector with its 1 in row.
+
+    Tableau entry (r, j) is rows[r][j] / dens[r], dens[r] > 0.
+    """
+    prow = rows[row]
+    if prow[col] < 0:
+        prow = [-a for a in prow]
+    # the pivot row divided by its pivot: numerators over prow[col]
+    prow, p = _reduced(prow, prow[col])
+    rows[row], dens[row] = prow, p
+    for r, nums in enumerate(rows):
+        a = nums[col]
+        if r != row and a:
+            rows[r], dens[r] = _reduced(
+                [x * p - a * y for x, y in zip(nums, prow)], dens[r] * p
+            )
     basis[row] = col
 
 
 def _run_simplex(
-    tableau: list[list[Fraction]],
+    rows: list[list[int]],
+    dens: list[int],
     basis: list[int],
-    cost: list[Fraction],
+    cost: list[int],
     ncols_enterable: int,
 ) -> str:
-    """Bland's rule simplex on a tableau already in canonical form."""
+    """Bland's rule simplex on a tableau already in canonical form.
+
+    cost holds integer costs over one common denominator; only signs
+    and exact comparisons of them steer the pivots.
+    """
     while True:
-        m = len(tableau)
-        y = [cost[basis[r]] for r in range(m)]
+        # reduced cost of column j, times Q * (cost denominator):
+        # C_j Q - sum_r w_r N_r[j], with w_r = C_basis(r) Q / d_r
+        q = math.lcm(*dens)
+        weighted = [
+            (cost[b] * (q // d), nums)
+            for b, d, nums in zip(basis, dens, rows)
+            if cost[b]
+        ]
         in_basis = set(basis)
         entering = -1
         for j in range(ncols_enterable):
             if j in in_basis:
                 continue
-            cbar = cost[j]
-            for r in range(m):
-                if y[r] != 0 and tableau[r][j] != 0:
-                    cbar -= y[r] * tableau[r][j]
+            cbar = cost[j] * q
+            for w, nums in weighted:
+                cbar -= w * nums[j]
             if cbar > 0:
                 entering = j  # Bland: smallest improving index
                 break
         if entering < 0:
             return "optimal"
+        # ratio rhs / a of a row is nums[-1] / nums[entering]: the row
+        # denominator cancels, and ties compare by cross-multiplication
         leave = -1
-        best: Fraction | None = None
-        for r in range(m):
-            a = tableau[r][entering]
+        for r, nums in enumerate(rows):
+            a = nums[entering]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[r] < basis[leave])
-                ):
-                    best, leave = ratio, r
+                if leave < 0:
+                    leave = r
+                    continue
+                lead = rows[leave]
+                lhs, rhs = nums[-1] * lead[entering], lead[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave = r
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, basis, leave, entering)
+        _pivot(rows, dens, basis, leave, entering)
+
+
+def _int_row(values) -> tuple[list[int], int]:
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def solve(lp: RationalLP) -> LPOutcome:
     """Two-phase exact simplex; deterministic for identical input."""
     nstruct = lp.nvars
-    rows = []
+    rows_in = []
     for c in lp.rows:
         coeffs, rel, rhs = list(c.coeffs), c.relation, c.rhs
         if rhs < 0:
             coeffs = [-a for a in coeffs]
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((coeffs, rel, rhs))
+        rows_in.append((coeffs, rel, rhs))
 
-    m = len(rows)
     slack_col: dict[int, int] = {}
     art_col: dict[int, int] = {}
     ncols = nstruct
-    for r, (_, rel, _) in enumerate(rows):
+    for r, (_, rel, _) in enumerate(rows_in):
         if rel in ("<=", ">="):
             slack_col[r] = ncols
             ncols += 1
     n_nonart = ncols
-    for r, (_, rel, _) in enumerate(rows):
+    for r, (_, rel, _) in enumerate(rows_in):
         if rel in (">=", "="):
             art_col[r] = ncols
             ncols += 1
 
-    zero = Fraction(0)
-    tableau = []
-    basis = []
-    for r, (coeffs, rel, rhs) in enumerate(rows):
-        trow = [zero] * ncols + [rhs]
-        for j, a in enumerate(coeffs):
-            trow[j] = a
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    basis: list[int] = []
+    for r, (coeffs, rel, rhs) in enumerate(rows_in):
+        nums, den = _int_row(coeffs + [rhs])
+        trow = nums[:nstruct] + [0] * (ncols - nstruct) + nums[-1:]
         if rel == "<=":
-            trow[slack_col[r]] = Fraction(1)
+            trow[slack_col[r]] = den
         elif rel == ">=":
-            trow[slack_col[r]] = Fraction(-1)
+            trow[slack_col[r]] = -den
         if r in art_col:
-            trow[art_col[r]] = Fraction(1)
-        tableau.append(trow)
+            trow[art_col[r]] = den
+        trow, den = _reduced(trow, den)
+        rows.append(trow)
+        dens.append(den)
         basis.append(art_col[r] if r in art_col else slack_col[r])
 
     if art_col:
-        cost1 = [zero] * ncols
+        cost1 = [0] * ncols
         for c in art_col.values():
-            cost1[c] = Fraction(-1)
-        _run_simplex(tableau, basis, cost1, ncols)  # bounded below, never unbounded
-        val1 = sum(cost1[basis[r]] * tableau[r][-1] for r in range(len(tableau)))
+            cost1[c] = -1
+        _run_simplex(rows, dens, basis, cost1, ncols)  # bounded below, never unbounded
+        q = math.lcm(*dens)
+        val1 = sum(cost1[b] * nums[-1] * (q // d) for b, d, nums in zip(basis, dens, rows))
         if val1 < 0:
             return LPOutcome("infeasible")
         art_set = set(art_col.values())
         r = 0
-        while r < len(tableau):
+        while r < len(rows):
             if basis[r] in art_set:
-                piv = next(
-                    (j for j in range(n_nonart) if tableau[r][j] != 0), None
-                )
+                piv = next((j for j in range(n_nonart) if rows[r][j] != 0), None)
                 if piv is None:
-                    del tableau[r]  # redundant original row
+                    del rows[r]  # redundant original row
+                    del dens[r]
                     del basis[r]
                     continue
-                _pivot(tableau, basis, r, piv)
+                _pivot(rows, dens, basis, r, piv)
             r += 1
 
-    cost2 = list(lp.objective) + [zero] * (ncols - nstruct)
-    status = _run_simplex(tableau, basis, cost2, n_nonart)
+    cost_nums, _ = _int_row(lp.objective)
+    cost2 = cost_nums + [0] * (ncols - nstruct)
+    status = _run_simplex(rows, dens, basis, cost2, n_nonart)
     if status == "unbounded":
         return LPOutcome("unbounded")
+    zero = Fraction(0)
     x = [zero] * ncols
-    for r in range(len(tableau)):
-        x[basis[r]] = tableau[r][-1]
+    for b, d, nums in zip(basis, dens, rows):
+        x[b] = Fraction(nums[-1], d)
     solution = tuple(x[:nstruct])
     value = sum((o * s for o, s in zip(lp.objective, solution)), zero)
     return LPOutcome("optimal", solution, value)

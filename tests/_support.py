@@ -17,7 +17,10 @@ import numpy as np
 
 from fracsub import JointDistribution, SetFunction, WeightedFamily
 from fracsub.bitsets import full_mask, iter_bits, subsets
-from fracsub.lp import Constraint, RationalLP
+from fracsub.errors import PreconditionError
+from fracsub.families import FamilyClassification
+from fracsub.gauss import PDMatrix, principal_minor
+from fracsub.lp import Constraint, LPOutcome, RationalLP
 from fracsub.rationals import effective_tol
 from fracsub.setfn import Verdict
 
@@ -88,6 +91,62 @@ def random_packing_family(n: int, rng: random.Random) -> WeightedFamily:
         m, w = members[i]
         members[i] = (m, w * Fraction(rng.randint(1, 7), 8))
     return WeightedFamily(n=n, members=tuple(members))
+
+
+def classify_by_bits(wf: WeightedFamily) -> FamilyClassification:
+    """Coverage by one Fraction addition per member bit, then the flavor."""
+    cov = [Fraction(0)] * wf.n
+    for mask, w in wf.members:
+        for b in iter_bits(mask):
+            cov[b] += w
+    over = tuple(i + 1 for i, c in enumerate(cov) if c > 1)
+    under = tuple(i + 1 for i, c in enumerate(cov) if c < 1)
+    if not over and not under:
+        flavor = "partition"
+    elif not under:
+        flavor = "covering"
+    elif not over:
+        flavor = "packing"
+    else:
+        flavor = "none"
+    return FamilyClassification(flavor, tuple(cov), over, under)
+
+
+def signature_groups_by_tuples(n: int, masks) -> list[int]:
+    """Co-occurrence classes keyed by per-element membership tuples."""
+    sig: dict[tuple[bool, ...], int] = {}
+    for i in range(n):
+        key = tuple(bool((m >> i) & 1) for m in masks)
+        sig[key] = sig.get(key, 0) | (1 << i)
+    return sorted(sig.values(), key=lambda g: g & -g)
+
+
+def normalize_by_loops(wf: WeightedFamily):
+    """The standing cleanup, member by member and class by class."""
+    full = full_mask(wf.n)
+    kept = [(m, w) for m, w in wf.members if w != 0]
+    delta = sum((w for m, w in kept if m == full), Fraction(0))
+    if delta >= 1:
+        raise PreconditionError(f"full-set weight {delta} >= 1 cannot be rescaled away")
+    if delta > 0:
+        scale = 1 / (1 - delta)
+        kept = [(m, w * scale) for m, w in kept if m != full]
+    if not kept:
+        raise PreconditionError("empty family after normalization")
+    groups = signature_groups_by_tuples(wf.n, [m for m, _ in kept])
+    merge_map = {}
+    for new_idx, group in enumerate(groups, start=1):
+        for b in iter_bits(group):
+            merge_map[b + 1] = new_idx
+    reps = [group & -group for group in groups]
+    new_members = []
+    for mask, w in kept:
+        nm = 0
+        for gi, rep in enumerate(reps):
+            if mask & rep:
+                nm |= 1 << gi
+        new_members.append((nm, w))
+    return WeightedFamily(len(groups), tuple(new_members)), merge_map
 
 
 def coverage_by_hand(wf: WeightedFamily) -> list[Fraction]:
@@ -176,6 +235,26 @@ def modular_from_singletons(xs) -> SetFunction:
     return SetFunction(n=n, values=tuple(values), label="modular")
 
 
+# --------------------------------------------------- matroids and matrices
+
+
+def free_outside_loops_by_subsets(m) -> bool:
+    """r(S) = |S minus loops| for every subset S, one rank call each."""
+    loop_mask = 0
+    for i in range(m.n):
+        if m.rank(1 << i) == 0:
+            loop_mask |= 1 << i
+    return all(m.rank(s) == (s & ~loop_mask).bit_count() for s in subsets(m.n))
+
+
+def log_minor_by_cholesky(K: PDMatrix, mask: int) -> float:
+    """ln det K(mask) from one Cholesky factorization of that minor."""
+    if mask == 0:
+        return 0.0
+    low = np.linalg.cholesky(principal_minor(K, mask))
+    return 2.0 * float(np.sum(np.log(np.diag(low))))
+
+
 # ------------------------------------------------------------ distributions
 
 
@@ -207,6 +286,135 @@ def identical_bits(n: int) -> JointDistribution:
 
 
 # ------------------------------------------------------------------- exact LP
+
+
+def _fraction_pivot(
+    tableau: list[list[Fraction]], basis: list[int], row: int, col: int
+) -> None:
+    piv = tableau[row][col]
+    tableau[row] = [x / piv for x in tableau[row]]
+    prow = tableau[row]
+    for r, trow in enumerate(tableau):
+        if r != row and trow[col] != 0:
+            f = trow[col]
+            tableau[r] = [x - f * y for x, y in zip(trow, prow)]
+    basis[row] = col
+
+
+def _fraction_simplex(
+    tableau: list[list[Fraction]],
+    basis: list[int],
+    cost: list[Fraction],
+    ncols_enterable: int,
+) -> str:
+    """Bland's rule simplex on a tableau already in canonical form."""
+    while True:
+        m = len(tableau)
+        y = [cost[basis[r]] for r in range(m)]
+        in_basis = set(basis)
+        entering = -1
+        for j in range(ncols_enterable):
+            if j in in_basis:
+                continue
+            cbar = cost[j]
+            for r in range(m):
+                if y[r] != 0 and tableau[r][j] != 0:
+                    cbar -= y[r] * tableau[r][j]
+            if cbar > 0:
+                entering = j  # Bland: smallest improving index
+                break
+        if entering < 0:
+            return "optimal"
+        leave = -1
+        best: Fraction | None = None
+        for r in range(m):
+            a = tableau[r][entering]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[r] < basis[leave])
+                ):
+                    best, leave = ratio, r
+        if leave < 0:
+            return "unbounded"
+        _fraction_pivot(tableau, basis, leave, entering)
+
+
+def simplex_by_fractions(lp: RationalLP) -> LPOutcome:
+    """Two-phase Bland simplex on a Fraction tableau, one entry at a time."""
+    nstruct = lp.nvars
+    rows = []
+    for c in lp.rows:
+        coeffs, rel, rhs = list(c.coeffs), c.relation, c.rhs
+        if rhs < 0:
+            coeffs = [-a for a in coeffs]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        rows.append((coeffs, rel, rhs))
+
+    slack_col: dict[int, int] = {}
+    art_col: dict[int, int] = {}
+    ncols = nstruct
+    for r, (_, rel, _) in enumerate(rows):
+        if rel in ("<=", ">="):
+            slack_col[r] = ncols
+            ncols += 1
+    n_nonart = ncols
+    for r, (_, rel, _) in enumerate(rows):
+        if rel in (">=", "="):
+            art_col[r] = ncols
+            ncols += 1
+
+    zero = Fraction(0)
+    tableau = []
+    basis = []
+    for r, (coeffs, rel, rhs) in enumerate(rows):
+        trow = [zero] * ncols + [rhs]
+        for j, a in enumerate(coeffs):
+            trow[j] = a
+        if rel == "<=":
+            trow[slack_col[r]] = Fraction(1)
+        elif rel == ">=":
+            trow[slack_col[r]] = Fraction(-1)
+        if r in art_col:
+            trow[art_col[r]] = Fraction(1)
+        tableau.append(trow)
+        basis.append(art_col[r] if r in art_col else slack_col[r])
+
+    if art_col:
+        cost1 = [zero] * ncols
+        for c in art_col.values():
+            cost1[c] = Fraction(-1)
+        _fraction_simplex(tableau, basis, cost1, ncols)  # bounded below, never unbounded
+        val1 = sum(cost1[basis[r]] * tableau[r][-1] for r in range(len(tableau)))
+        if val1 < 0:
+            return LPOutcome("infeasible")
+        art_set = set(art_col.values())
+        r = 0
+        while r < len(tableau):
+            if basis[r] in art_set:
+                piv = next(
+                    (j for j in range(n_nonart) if tableau[r][j] != 0), None
+                )
+                if piv is None:
+                    del tableau[r]  # redundant original row
+                    del basis[r]
+                    continue
+                _fraction_pivot(tableau, basis, r, piv)
+            r += 1
+
+    cost2 = list(lp.objective) + [zero] * (ncols - nstruct)
+    status = _fraction_simplex(tableau, basis, cost2, n_nonart)
+    if status == "unbounded":
+        return LPOutcome("unbounded")
+    x = [zero] * ncols
+    for r in range(len(tableau)):
+        x[basis[r]] = tableau[r][-1]
+    solution = tuple(x[:nstruct])
+    value = sum((o * s for o, s in zip(lp.objective, solution)), zero)
+    return LPOutcome("optimal", solution, value)
 
 
 def _solve_square(a: list[list[Fraction]], b: list[Fraction]):

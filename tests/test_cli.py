@@ -280,6 +280,17 @@ def test_mmi_modes(capsys, bits_file, tmp_path):
     assert res["total_correlation"] == pytest.approx(2.0)
 
 
+def test_mmi_rejects_nan_pmf(capsys, tmp_path):
+    # json.loads reads the bare NaN token; the pmf check must refuse it
+    path = tmp_path / "nan.json"
+    path.write_text('{"alphabets": [2, 2], "pmf": [NaN, 0.5, 0.25, 0.25]}')
+    for mode in ("--tc", "--si"):
+        code, out, err = run(capsys, "mmi", str(path), mode)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
+
 def test_mmi_mode_conflicts(capsys, bits_file, tmp_path):
     code, _, err = run(capsys, "mmi", bits_file)
     assert code == 2

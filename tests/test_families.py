@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,10 @@ from fracsub.errors import PreconditionError, ValidationError
 from fracsub.fixtures import modular_mixed_signs, zero_gap_nonmonotone
 
 from _support import (
+    classify_by_bits,
     coverage_by_hand,
+    normalize_by_loops,
+    signature_groups_by_tuples,
     random_covering_family,
     random_packing_family,
     random_partition_family,
@@ -232,3 +237,58 @@ def test_min_multiplicity():
     assert min_multiplicity((0b01, 0b01, 0b11), 2) == 1
     with pytest.raises(ValidationError):
         min_multiplicity((0b01,), 2)
+
+
+# ------------------------------------------- kernels vs the per-bit loops
+
+
+_weights = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(7, 12)]
+    + [2]  # an int weight, coerced to Fraction(2)
+)
+
+
+@st.composite
+def raw_families(draw):
+    """Members with duplicates, mixed weights and masks up to 20 bits."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    member = st.tuples(st.integers(min_value=0, max_value=(1 << n) - 1), _weights)
+    members = draw(st.lists(member, max_size=10))
+    if members:
+        members += draw(st.lists(st.sampled_from(members), max_size=4))
+    return WeightedFamily(n=n, members=tuple(members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_families())
+def test_classification_matches_per_bit_oracle(wf):
+    cls = wf.classify()
+    assert cls == classify_by_bits(wf)
+    assert all(type(c) is Fraction for c in cls.coverage)
+
+
+def test_classification_of_szasz_sized_family():
+    # 3432 members of one weight: one count per element, one product each
+    members = tuple(
+        (mask_of(c, 14), Fraction(1, 1716)) for c in itertools.combinations(range(1, 15), 7)
+    )
+    wf = WeightedFamily(n=14, members=members + ((0b11, Fraction(1, 3)),))
+    assert wf.classify() == classify_by_bits(wf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_families())
+def test_normalize_matches_loop_oracle(wf):
+    try:
+        expected = normalize_by_loops(wf)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+            wf.normalize()
+        return
+    assert wf.normalize() == expected
+    positive = all(w != 0 for _, w in wf.members) and wf.members
+    no_full = all(m != (1 << wf.n) - 1 for m, _ in wf.members)
+    separated = wf.n == 1 or len(
+        signature_groups_by_tuples(wf.n, [m for m, _ in wf.members])
+    ) == wf.n
+    assert wf.satisfies_standing_assumptions() == bool(positive and no_full and separated)

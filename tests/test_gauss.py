@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _support import random_partition_family
+from _support import log_minor_by_cholesky, random_partition_family, under_seconds
 from fracsub.bitsets import full_mask, subsets
 from fracsub.errors import PreconditionError, ValidationError
 from fracsub.families import WeightedFamily, singleton_family
@@ -17,6 +17,7 @@ from fracsub.gauss import (
     det_equality_check,
     gaussian_entropy_setfn,
     log_principal_minor,
+    log_principal_minors,
     preset_family,
     principal_minor,
 )
@@ -83,6 +84,58 @@ def test_log_minor_rejects_non_pd_submatrix_inputs():
     object.__setattr__(k, "entries", np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValidationError):
         log_principal_minor(k, 0b11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 14])
+def test_stacked_minors_equal_single_minors_bit_for_bit(n):
+    rng = np.random.default_rng(700 + n)
+    a = rng.standard_normal((n, n)) * rng.uniform(0.1, 10)
+    k = PDMatrix(a @ a.T / n + rng.uniform(0.01, 2) * np.eye(n))
+    stacked = log_principal_minors(k, list(subsets(n))).tolist()
+    # every subset against one Cholesky per minor; a sample also
+    # through the public single-mask call
+    assert stacked == [log_minor_by_cholesky(k, m) for m in subsets(n)]
+    sample = rng.choice(1 << n, size=min(1 << n, 300), replace=False).tolist()
+    assert [log_principal_minor(k, m) for m in sample] == [stacked[m] for m in sample]
+    # any mask order, duplicates included
+    masks = sample + sample[:7]
+    assert log_principal_minors(k, masks).tolist() == [stacked[m] for m in masks]
+
+
+def test_stacked_minors_name_the_first_failing_minor():
+    # the non-PD container again: {1,2} and {1,2,3} both fail, the
+    # 2x2 stack is factored first, the error names the first in order
+    k = PDMatrix(np.eye(3))
+    object.__setattr__(
+        k, "entries", np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    )
+    assert log_principal_minors(k, [0b001, 0b100, 0b101]).tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValidationError, match=r"\(1, 2, 3\)"):
+        log_principal_minors(k, [0b001, 0b111, 0b011])
+    with pytest.raises(ValidationError, match=r"\(1, 2\) is not"):
+        log_principal_minors(k, [0b011, 0b111])
+    with pytest.raises(ValidationError, match=r"\(1, 2\) is not"):
+        log_principal_minor(k, 0b011)
+
+
+def test_minors_reject_masks_outside_the_table():
+    k = PDMatrix(np.eye(3))
+    for bad in (0b1000, -1):
+        with pytest.raises(ValidationError, match="table"):
+            log_principal_minors(k, [0b001, bad])
+        with pytest.raises(ValidationError, match="table"):
+            log_principal_minor(k, bad)
+
+
+def test_det_equality_szasz8_n16_in_time():
+    # 12870 minors of order 8 in one stack
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((16, 16))
+    k = PDMatrix(a @ a.T / 16 + np.eye(16))
+    wf = preset_family("szasz", 16, k=8)
+    with under_seconds(0.2, "szasz:8 determinant equality at n=16"):
+        rep = det_equality_check(k, wf)
+    assert not rep.equality and not rep.diagonal_ok
 
 
 # ----------------------------------------------------- entropy function

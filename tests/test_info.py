@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _support import identical_bits, product_pmf, random_partition_family, random_pmf
+from _support import (
+    identical_bits,
+    product_pmf,
+    random_partition_family,
+    random_pmf,
+    under_seconds,
+)
 from fracsub.bitsets import full_mask
 from fracsub.errors import PreconditionError, ValidationError
 from fracsub.families import WeightedFamily, co_singleton_family, singleton_family
@@ -67,6 +73,16 @@ def test_distribution_validation():
         ProductDistribution(([0.5, 0.5], [[0.5], [0.5]]))
     with pytest.raises(ValidationError):
         ProductDistribution(([0.9, 0.2],))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distributions_reject_non_finite_entries(bad):
+    # NaN passed the sum check (abs(nan - 1) > tol is False) and gave a
+    # negative total correlation
+    with pytest.raises(ValidationError, match="non-finite"):
+        JointDistribution((2, 2), [[bad, 0.5], [0.25, 0.25]])
+    with pytest.raises(ValidationError, match="marginal 2 has a non-finite"):
+        ProductDistribution(([0.5, 0.5], [bad, 0.5]))
 
 
 def test_marginal_of_identical_bits():
@@ -323,6 +339,17 @@ def test_shared_information_identical_bits():
 def test_shared_information_product_is_zero():
     d = product_pmf([2, 2, 2], random.Random(21))
     assert shared_information(d).value == pytest.approx(0.0, abs=1e-9)
+
+
+def test_shared_information_six_variables_alphabet_six_in_time():
+    # a 62-column partition LP with binary64 costs, in integer rows
+    rng = np.random.default_rng(66)
+    cells = rng.random(6**6) + 0.02
+    d = JointDistribution((6,) * 6, (cells / cells.sum()).reshape((6,) * 6))
+    with under_seconds(0.08, "shared information of six variables, alphabets 6"):
+        si = shared_information(d)
+    assert si.argmax.classify().flavor == "partition"
+    assert abs(si.dual_side_value - si.value) <= TOL
 
 
 def test_mmi_max_is_total_correlation():

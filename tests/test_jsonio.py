@@ -174,6 +174,20 @@ def test_distribution_rejections():
         load_distribution({"alphabets": [2], "pmf": [0.6, 0.6]})
 
 
+@pytest.mark.parametrize("bad", [True, False, "0.5", None, [0.5]])
+def test_distribution_bad_entry_names_its_index(bad):
+    pmf = [0.25, 0.25, 0.25, 0.25]
+    pmf[2] = bad
+    with pytest.raises(ValidationError, match=r"^distribution\.pmf\[2\]: expected a number$"):
+        load_distribution({"alphabets": [2, 2], "pmf": pmf})
+
+
+def test_distribution_accepts_ints_and_floats_alike():
+    d = load_distribution({"alphabets": [2, 2], "pmf": [1, 0, 0.0, 0]})
+    assert d.pmf.dtype == np.float64
+    assert d.pmf.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
+
 def test_product_loader():
     q = load_product({"marginals": [[0.25, 0.75], [0.5, 0.5]]})
     assert q.n == 2

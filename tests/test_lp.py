@@ -4,10 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _support import brute_force_lp_max, partition_lp, proper_nonempty_subsets
+from _support import (
+    brute_force_lp_max,
+    partition_lp,
+    proper_nonempty_subsets,
+    random_pmf,
+    simplex_by_fractions,
+)
+from fracsub.bitsets import full_mask
 from fracsub.errors import PreconditionError, ValidationError
+from fracsub.info import entropy_setfn
 from fracsub.lp import (
+    RELATIONS,
     Constraint,
     LPOutcome,
     RationalLP,
@@ -220,3 +230,105 @@ def test_maximize_partition_infeasible():
     # element 3 is never covered
     with pytest.raises(PreconditionError):
         maximize_partition_weighted_sum(3, [0b001, 0b010], [1, 1])
+
+
+# ------------------------------------- integer rows vs the Fraction tableau
+
+
+def same_outcome(a: LPOutcome, b: LPOutcome) -> bool:
+    """Same status, vertex and value, every number a Fraction."""
+    numbers = (b.solution or ()) + ((b.value,) if b.value is not None else ())
+    return (a.status, a.solution, a.value) == (b.status, b.solution, b.value) and all(
+        type(x) is Fraction for x in numbers
+    )
+
+
+_coef = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def random_lps(draw):
+    nvars = draw(st.integers(1, 5))
+    coeffs = st.lists(_coef, min_size=nvars, max_size=nvars)
+    rows = [
+        Constraint(tuple(c), rel, b)
+        for c, rel, b in draw(
+            st.lists(st.tuples(coeffs, st.sampled_from(RELATIONS), _coef), max_size=5)
+        )
+    ]
+    # redundant equality rows, negative multiples included: artificials
+    # that phase 1 leaves basic, driven out on negative pivots or dropped
+    if rows:
+        for k, f in draw(
+            st.lists(
+                st.tuples(st.integers(0, 4), st.sampled_from([F(-2), F(-1), F(1, 3), F(2)])),
+                max_size=2,
+            )
+        ):
+            base = rows[k % len(rows)]
+            rows.append(Constraint(tuple(a * f for a in base.coeffs), "=", base.rhs * f))
+    order = draw(st.permutations(range(len(rows))))
+    return RationalLP(tuple(draw(coeffs)), tuple(rows[i] for i in order))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_lps())
+def test_simplex_matches_fraction_tableau_oracle(prog):
+    # same pivots as the Fraction tableau, so the same vertex, not just the value
+    assert same_outcome(simplex_by_fractions(prog), solve(prog))
+
+
+def test_simplex_oracle_cases_cover_every_status():
+    seen = set()
+    rng = random.Random(31)
+    for _ in range(300):
+        nvars = rng.randrange(1, 4)
+        rows = tuple(
+            Constraint(
+                tuple(F(rng.randint(-3, 3)) for _ in range(nvars)),
+                rng.choice(RELATIONS),
+                F(rng.randint(-2, 2)),
+            )
+            for _ in range(rng.randrange(0, 4))
+        )
+        prog = RationalLP(tuple(F(rng.randint(-2, 2)) for _ in range(nvars)), rows)
+        out = solve(prog)
+        assert same_outcome(simplex_by_fractions(prog), out)
+        seen.add(out.status)
+    assert seen == {"optimal", "unbounded", "infeasible"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_partition_lps_with_entropy_costs_match_oracle(n):
+    # the shared-information LP: binary64 conditional entropies as costs
+    rng = random.Random(600 + n)
+    for _ in range(2 if n == 6 else 4):
+        e = entropy_setfn(random_pmf([rng.randrange(2, 4) for _ in range(n)], rng))
+        full = full_mask(n)
+        masks = proper_nonempty_subsets(n)
+        for costs in (
+            [e.value(full) - e.value(full ^ m) for m in masks],
+            [e.value(m) for m in masks],
+        ):
+            prog = partition_lp(n, masks, costs)
+            assert same_outcome(simplex_by_fractions(prog), solve(prog))
+
+
+def test_degenerate_partition_lps_match_oracle():
+    # all-ones (find-partition) and small-integer costs leave many optimal
+    # vertices, so only the Fraction tableau's pivot path lands on its vertex
+    rng = random.Random(4242)
+    for _ in range(600):
+        n = rng.randrange(2, 6)
+        pool = proper_nonempty_subsets(n)
+        masks = [rng.choice(pool) for _ in range(rng.randrange(2, 14))]
+        if rng.random() < 0.25:
+            costs = [1] * len(masks)
+        else:
+            costs = [rng.randint(0, 2) for _ in masks]
+        prog = partition_lp(n, masks, costs)
+        assert same_outcome(simplex_by_fractions(prog), solve(prog)), (n, masks, costs)

@@ -6,7 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from _support import random_partition_family
+from _support import (
+    free_outside_loops_by_subsets,
+    random_partition_family,
+    under_seconds,
+)
 from fracsub.bitsets import full_mask, iter_bits, subsets
 from fracsub.errors import PreconditionError, ValidationError
 from fracsub.families import WeightedFamily, singleton_family
@@ -276,3 +280,67 @@ def test_rank_equality_preconditions():
     par = LinearMatroid(((F(1), F(1), F(0)), (F(0), F(0), F(1))))
     with pytest.raises(PreconditionError):
         rank_equality_check(par, fam(3, (0b011, 1), (0b100, 1)))
+
+
+def _random_matroids(rng):
+    """Linear (zero and parallel columns), graphic (self-loops and
+    parallel edges) and uniform matroids on 2..8 elements."""
+    for _ in range(60):
+        n = rng.randrange(2, 9)
+        kind = rng.randrange(3)
+        if kind == 0:
+            nrows = rng.randrange(1, 5)
+            cols = []
+            for _ in range(n):
+                r = rng.random()
+                if r < 0.15:
+                    cols.append((F(0),) * nrows)
+                elif r < 0.3 and cols:
+                    base = rng.choice(cols)
+                    scale = F(rng.choice([-2, -1, 1, 3]), rng.randrange(1, 4))
+                    cols.append(tuple(scale * a for a in base))
+                else:
+                    cols.append(
+                        tuple(F(rng.randint(-2, 2), rng.randrange(1, 3)) for _ in range(nrows))
+                    )
+            yield LinearMatroid(tuple(zip(*cols)))
+        elif kind == 1:
+            v = rng.randrange(1, 7)
+            edges = []
+            for _ in range(n):
+                if rng.random() < 0.2:
+                    u = rng.randrange(1, v + 1)
+                    edges.append((u, u))
+                elif rng.random() < 0.2 and edges:
+                    edges.append(rng.choice(edges))
+                else:
+                    edges.append((rng.randrange(1, v + 1), rng.randrange(1, v + 1)))
+            yield GraphicMatroid(v, tuple(edges))
+        else:
+            yield UniformMatroid(n, rng.randrange(0, n + 1))
+
+
+def test_rank_equality_freeness_matches_subset_oracle():
+    rng = random.Random(3113)
+    verdicts = set()
+    for m in _random_matroids(rng):
+        rep = rank_equality_check(m, singleton_family(m.n))
+        assert rep.free_outside_loops == free_outside_loops_by_subsets(m), m
+        assert rep.equality == rep.free_outside_loops
+        wf = random_partition_family(m.n, rng)
+        assert rank_equality_check(m, wf).free_outside_loops == rep.free_outside_loops
+        verdicts.add(rep.free_outside_loops)
+    assert verdicts == {True, False}
+
+
+def test_rank_equality_free_linear_n12_in_time():
+    # one rank of E minus loops, not 2^12 Fraction eliminations
+    n = 12
+    rows = tuple(
+        tuple(F(1) if i == j else F(j - i, 3) if j > i else F(0) for j in range(n))
+        for i in range(n)
+    )
+    m = LinearMatroid(rows)
+    with under_seconds(1.0, "rank equality of a free linear matroid at n=12"):
+        rep = rank_equality_check(m, singleton_family(n))
+    assert rep.equality and rep.free_outside_loops and rep.total_rank == n
