@@ -1,10 +1,10 @@
-"""Golden CLI reports: stdout and exit code byte for byte.
+"""Golden CLI runs: stdout, stderr and exit code byte for byte.
 
-The inputs, the argument lists and the expected reports live under
-``tests/golden/`` (see ``record.py`` there).  They pin the reports of
-the commands built on the exact kernels (``mmi``, ``matroid``,
-``detineq``, ``find-partition``) so that a faster kernel cannot change
-a single byte of output.
+The inputs, the argument lists and the expected output live under
+``tests/golden/`` (see ``record.py`` there).  They pin every
+subcommand's report, its human summary line and error messages, and
+the help text, so that neither a faster kernel nor a restructured
+front end can change a single byte of output.
 """
 
 import json
@@ -22,7 +22,13 @@ EXIT_CODES = json.loads((GOLDEN / "expected" / "exit_codes.json").read_text())
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_report(case, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)  # reports carry the input paths as given
-    code = main(list(case["argv"]))
-    out = capsys.readouterr().out
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at this width
+    monkeypatch.delenv("FRACSUB_TOL", raising=False)
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:  # argparse: --help, --version, usage errors
+        code = exc.code
+    captured = capsys.readouterr()
     assert code == EXIT_CODES[case["name"]]
-    assert out == (GOLDEN / "expected" / f"{case['name']}.out").read_text()
+    assert captured.out == (GOLDEN / "expected" / f"{case['name']}.out").read_text()
+    assert captured.err == (GOLDEN / "expected" / f"{case['name']}.err").read_text()
