@@ -16,6 +16,10 @@ from .errors import ValidationError
 # the one cap on the ground set size, for tables and matrices alike
 MAX_GROUND = 24
 
+# dataclass field metadata: the field holds a mask (or tuples of masks),
+# which reports render as 1-indexed element lists
+MASKS = {"masks": True}
+
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1

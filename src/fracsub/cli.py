@@ -1,9 +1,16 @@
-"""Command-line front end.
+"""Command-line front end: one table of subcommands, one dispatch.
 
-Each subcommand loads JSON inputs, runs one library operation, writes a
-machine-readable report to stdout and a one-line human summary to
-stderr.  Reports are byte-stable: same inputs and parameters give the
-same bytes, with input files identified by content hash.
+Each row of ``COMMANDS`` gives a subcommand's name and help, its input
+files with their loaders, whether ``--tol`` applies, its extra flags,
+the library call, the report parameters, the human summary line and
+the exit-code rule.  ``main`` builds the parser from the table and
+runs every row alike: read and hash the inputs, resolve
+the tolerance, call the library, write one canonical JSON report to
+stdout (``jsonio`` serializes the library's report dataclasses) and
+the summary line to stderr.  Reports are byte-stable, with input files
+identified by content hash.  Rows reach library functions as module
+attributes looked up per call, so rebinding one (as a tracer does)
+reaches every call.
 
 Exit codes: 0 success; 1 failed verdict (certify says not-modular,
 stability unsatisfied, selftest failure) or an internal cross-check
@@ -17,55 +24,14 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Any, Callable
 
-from . import __version__
-from .bitsets import elements
-from .errors import (
-    ConsistencyError,
-    FracsubError,
-    PreconditionError,
-    ValidationError,
-)
-from .families import WeightedFamily, find_fractional_partition
-from .fixtures import modular_mixed_signs, modular_singletons, zero_gap_nonmonotone
-from .gaps import (
-    certify_modular_partial,
-    duality_residual,
-    equality_conditions_covering,
-    gap_report,
-    gap_upper,
-    shearer_check,
-    stability_check,
-)
-from .gauss import det_equality_check, preset_family
-from .info import (
-    dual_total_correlation,
-    family_mutual_information,
-    mmi_max_over_partitions,
-    shared_information,
-    total_correlation,
-)
-from .jsonio import (
-    canonical_dumps,
-    dump_family,
-    load_distribution,
-    load_family,
-    load_family_document,
-    load_matroid,
-    load_partial,
-    load_pd_matrix,
-    load_pd_matrix_csv,
-    load_setfn,
-)
-from .matroid import rank_equality_check
-from .rationals import parse_rational
-from .setfn import (
-    is_modular,
-    is_nondecreasing,
-    is_prefix_nondecreasing,
-    is_submodular,
-)
+from . import __version__, families, fixtures, gaps, gauss, info, jsonio, matroid, setfn
+from .bitsets import MASKS
+from .errors import ConsistencyError, FracsubError, PreconditionError, ValidationError
+from .rationals import parse_rational, require_finite
 
 _EXIT_VERDICT = 1
 _EXIT_VALIDATION = 2
@@ -84,31 +50,27 @@ class _Inputs:
                 raw = fh.read()
         except OSError as exc:
             raise ValidationError(f"{role}: cannot read {path}: {exc.strerror}")
-        self.digests[role] = {
-            "path": path,
-            "sha256": hashlib.sha256(raw).hexdigest(),
-        }
+        self.digests[role] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
         return raw
 
     def read_json(self, path: str, role: str):
-        raw = self.read(path, role)
         try:
-            return json.loads(raw)
+            return json.loads(self.read(path, role))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{role}: {path} is not valid JSON: {exc}")
 
 
 def _resolve_tol(args) -> float | None:
-    tol = getattr(args, "tol", None)
-    if tol is not None:
-        return tol
+    if args.tol is not None:
+        return require_finite(args.tol, "--tol")
     env = os.environ.get("FRACSUB_TOL")
     if env is None:
         return None
     try:
-        return float(env)
+        tol = float(env)
     except ValueError:
         raise ValidationError(f"FRACSUB_TOL is not a number: {env!r}") from None
+    return require_finite(tol, "FRACSUB_TOL")
 
 
 def _parse_epsilon(text: str):
@@ -116,392 +78,361 @@ def _parse_epsilon(text: str):
     if "/" in text or text.strip().lstrip("+-").isdigit():
         return parse_rational(text)
     try:
-        return float(text)
+        epsilon = float(text)
     except ValueError:
         raise ValidationError(f"bad epsilon {text!r}") from None
+    return require_finite(epsilon, "--epsilon")
 
 
-def _witness_json(w):
-    if w is None:
-        return None
-    if isinstance(w, int):
-        return list(elements(w))
-    return [list(elements(m)) for m in w]
+def _json(loader: str) -> Callable:
+    """Parse the file as JSON and hand it to ``jsonio.<loader>``."""
+    return lambda inputs, path, role: getattr(jsonio, loader)(
+        inputs.read_json(path, role)
+    )
 
 
-def _classification_json(cls) -> dict:
-    return {
-        "flavor": cls.flavor,
-        "coverage": list(cls.coverage),
-        "over_covered": list(cls.over_covered),
-        "under_covered": list(cls.under_covered),
-    }
+def _unweighted(why: str) -> Callable:
+    """Load a family document whose members carry no weights."""
+
+    def load(inputs, path, role):
+        doc = jsonio.load_family_document(inputs.read_json(path, role))
+        if isinstance(doc, families.WeightedFamily):
+            raise ValidationError(f"{role}: omit weights; {why}")
+        return doc
+
+    return load
 
 
-def _equality_json(rep) -> dict:
-    return {
-        "branch": rep.branch,
-        "gap": rep.gap,
-        "equality": rep.equality,
-        "modular": {
-            "ok": rep.modular.ok,
-            "witness": _witness_json(rep.modular.witness),
-        },
-        "special_elements": list(rep.special_elements),
-        "zero_on_special": rep.zero_on_special,
-        "condition_holds": rep.condition_holds,
-    }
+def _load_matrix(inputs, path, role):
+    if path.endswith(".csv"):
+        text = inputs.read(path, role).decode("utf-8", errors="replace")
+        return jsonio.load_pd_matrix_csv(text)
+    return jsonio.load_pd_matrix(inputs.read_json(path, role))
 
 
-def cmd_gaps(args, inputs: _Inputs):
-    f = load_setfn(inputs.read_json(args.setfn, "setfn"))
-    wf = load_family(inputs.read_json(args.family, "family"))
-    tol = _resolve_tol(args)
-    rep = gap_report(f, wf, tol)
+# ------------------------------------------------------------- the table
+
+
+@dataclass(frozen=True)
+class _Input:
+    dest: str  # argument name; holds the loaded value once loaded
+    load: Callable  # (inputs, path, role) -> loaded value
+    role: str = ""  # key in the report's "inputs"; defaults to dest
+    optional: bool = False
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class _Command:
+    name: str
+    help: str
+    inputs: tuple[_Input, ...]
+    run: Callable[[argparse.Namespace, Any], Any]  # (args, tol) -> result
+    human: Callable[[argparse.Namespace, Any], str]  # (args, result) -> line
+    tol: bool = True
+    flags: dict[str, dict] = field(default_factory=dict)  # name -> add_argument kwargs
+    params: Callable = lambda args, result: {}  # parameters beyond the tolerance
+    exit: Callable[[Any], int] = lambda result: 0
+
+
+def _switch(help: str) -> dict:
+    return {"action": "store_true", "help": help}
+
+
+def _gaps(a, tol):
+    rep = gaps.gap_report(a.setfn, a.family, tol)
     try:
-        residual = duality_residual(f, wf)
+        residual = gaps.duality_residual(a.setfn, a.family)
     except PreconditionError:
         residual = None
-    result = {
-        "gap_upper": rep.gap_upper,
-        "gap_lower": rep.gap_lower,
-        "weight_total": rep.weight_total,
-        "classification": _classification_json(rep.classification),
-        "bounds_hold": list(rep.bounds_hold),
-        "notes": list(rep.notes),
-        "duality_residual": residual,
-    }
-    human = (
-        f"{rep.classification.flavor}: gap_upper={rep.gap_upper} "
-        f"gap_lower={rep.gap_lower} bounds_hold={rep.bounds_hold}"
-    )
-    return result, {"tol": tol}, human, 0
+    return {**vars(rep), "duality_residual": residual}
 
 
-def cmd_certify(args, inputs: _Inputs):
-    partial = load_partial(inputs.read_json(args.partial, "partial"))
-    wf = load_family(inputs.read_json(args.family, "family"))
-    tol = _resolve_tol(args)
-    cert = certify_modular_partial(
-        partial, wf, assume_submodular=not args.no_assume_submodular, tol=tol
-    )
-    result = {
-        "verdict": cert.verdict,
-        "checked_sum": cert.checked_sum,
-        "target": cert.target,
-        "assumed_submodular": cert.assumed_submodular,
-        "missing": [list(elements(m)) for m in cert.missing],
-        "note": cert.note,
-    }
-    human = f"verdict: {cert.verdict}"
+def _certify_human(a, cert) -> str:
     if cert.verdict == "modular":
-        human += f" (weighted sum {cert.checked_sum} matches the total exactly)"
-        code = 0
+        why = f" (weighted sum {cert.checked_sum} matches the total exactly)"
     elif cert.verdict == "not-modular":
-        human += f" (weighted sum {cert.checked_sum} != {cert.target})"
-        code = _EXIT_VERDICT
+        why = f" (weighted sum {cert.checked_sum} != {cert.target})"
     else:
-        human += f" ({cert.note})" if cert.note else ""
-        code = _EXIT_VALIDATION
-    params = {"tol": tol, "assume_submodular": cert.assumed_submodular}
-    return result, params, human, code
+        why = f" ({cert.note})" if cert.note else ""
+    return f"verdict: {cert.verdict}{why}"
 
 
-def cmd_stability(args, inputs: _Inputs):
-    f = load_setfn(inputs.read_json(args.setfn, "setfn"))
-    wf = load_family(inputs.read_json(args.family, "family"))
-    tol = _resolve_tol(args)
-    epsilon = _parse_epsilon(args.epsilon)
-    rep = stability_check(f, wf, epsilon, tol)
-    result = {
-        "sigma": rep.sigma,
-        "epsilon": rep.epsilon,
-        "bound": rep.bound,
-        "defects": list(rep.defects),
-        "satisfied": rep.satisfied,
-        "gap_upper": rep.gap_upper,
-        "gap_lower": rep.gap_lower,
-        "epsilon_covers_gap": rep.epsilon_covers_gap,
-    }
-    human = (
+_CERTIFY_EXIT = {"modular": 0, "not-modular": _EXIT_VERDICT}  # else insufficient data
+
+
+def _stability_human(a, rep) -> str:
+    line = (
         f"defects {'within' if rep.satisfied else 'EXCEED'} "
         f"epsilon/sigma = {rep.bound} (sigma={rep.sigma})"
     )
     if not rep.epsilon_covers_gap:
-        human += "; note: epsilon is below both gaps, so the premise is unmet"
-    params = {"tol": tol, "epsilon": rep.epsilon}
-    return result, params, human, 0 if rep.satisfied else _EXIT_VERDICT
+        line += "; note: epsilon is below both gaps, so the premise is unmet"
+    return line
 
 
-def cmd_equality(args, inputs: _Inputs):
-    f = load_setfn(inputs.read_json(args.setfn, "setfn"))
-    wf = load_family(inputs.read_json(args.family, "family"))
-    tol = _resolve_tol(args)
-    rep = equality_conditions_covering(f, wf, tol)
-    human = (
-        f"{rep.branch}: gap={rep.gap} equality={rep.equality} "
-        f"modular={rep.modular.ok} zero_on_special={rep.zero_on_special}"
-    )
-    return _equality_json(rep), {"tol": tol}, human, 0
+@dataclass(frozen=True)
+class _Component:
+    """One member's term of the family mutual information."""
+
+    set: int = field(metadata=MASKS)
+    weight: Fraction
+    entropy: float
 
 
-def cmd_shearer(args, inputs: _Inputs):
-    f = load_setfn(inputs.read_json(args.setfn, "setfn"))
-    doc = load_family_document(inputs.read_json(args.sets, "sets"))
-    if isinstance(doc, WeightedFamily):
-        raise ValidationError(
-            "sets: omit weights; the multiplicity rule assigns them"
-        )
-    tol = _resolve_tol(args)
-    rep = shearer_check(f, doc.masks, tol)
-    result = {
-        "k": rep.k,
-        "member_sum": rep.member_sum,
-        "scaled_total": rep.scaled_total,
-        "equality": rep.equality,
-        "condition_holds": rep.condition_holds,
-        "over_elements": list(rep.over_elements),
-        "detail": _equality_json(rep.detail),
-    }
-    human = (
-        f"k={rep.k}: member sum {rep.member_sum} vs k*f(full) "
-        f"{rep.scaled_total}; equality={rep.equality}"
-    )
-    return result, {"tol": tol}, human, 0
+_MMI_MODES = {
+    "tc": "total correlation",
+    "dtc": "dual total correlation",
+    "si": "shared information",
+    "max": "max MI over fractional partitions",
+}
 
 
-def cmd_mmi(args, inputs: _Inputs):
-    dist = load_distribution(inputs.read_json(args.dist, "distribution"))
-    tol = _resolve_tol(args)
-    flags = [
-        name
-        for name in ("tc", "dtc", "si", "max")
-        if getattr(args, name if name != "max" else "max_partitions")
-    ]
-    if args.family is not None and flags:
+def _mmi(a, tol):
+    modes = [mode for mode in _MMI_MODES if getattr(a, mode)]
+    if a.family is not None and modes:
         raise ValidationError("give either a family file or one mode flag, not both")
-    if args.family is None and len(flags) != 1:
+    if a.family is None and len(modes) != 1:
         raise ValidationError(
             "choose a mode: a family file or exactly one of --tc --dtc --si --max"
         )
-    if args.family is not None:
-        wf = load_family(inputs.read_json(args.family, "family"))
-        res = family_mutual_information(dist, wf)
-        result = {
+    if a.family is not None:
+        res = info.family_mutual_information(a.dist, a.family)
+        return {
             "mode": "family",
             "value": res.value,
             "joint_entropy": res.joint_entropy,
-            "components": [
-                {"set": list(elements(m)), "weight": w, "entropy": h}
-                for m, w, h in res.components
-            ],
+            "components": [_Component(*c) for c in res.components],
         }
-        human = f"family MI = {res.value} bits"
-    elif flags[0] == "tc":
-        value = total_correlation(dist)
-        result = {"mode": "tc", "value": value}
-        human = f"total correlation = {value} bits"
-    elif flags[0] == "dtc":
-        value = dual_total_correlation(dist)
-        result = {"mode": "dtc", "value": value}
-        human = f"dual total correlation = {value} bits"
-    elif flags[0] == "si":
-        res = shared_information(dist, tol)
-        result = {
-            "mode": "si",
-            "value": res.value,
-            "conditional_value": res.conditional_value,
-            "dual_side_value": res.dual_side_value,
-            "argmax": dump_family(res.argmax),
-        }
-        human = f"shared information = {res.value} bits"
-    else:
-        res = mmi_max_over_partitions(dist, tol)
-        result = {
-            "mode": "max",
-            "value": res.value,
-            "total_correlation": res.total_correlation,
-            "argmax": dump_family(res.argmax),
-        }
-        human = f"max MI over fractional partitions = {res.value} bits"
-    return result, {"tol": tol, "mode": result["mode"]}, human, 0
+    mode = modes[0]
+    if mode in ("tc", "dtc"):
+        measure = info.total_correlation if mode == "tc" else info.dual_total_correlation
+        return {"mode": mode, "value": measure(a.dist)}
+    search = info.shared_information if mode == "si" else info.mmi_max_over_partitions
+    return {"mode": mode, **vars(search(a.dist, tol))}
 
 
-def cmd_matroid(args, inputs: _Inputs):
-    m = load_matroid(inputs.read_json(args.matroid, "matroid"))
-    wf = load_family(inputs.read_json(args.family, "family"))
-    rep = rank_equality_check(m, wf)
-    result = {
-        "weighted_rank_sum": rep.weighted_rank_sum,
-        "total_rank": rep.total_rank,
-        "equality": rep.equality,
-        "loop_elements": list(rep.loop_elements),
-        "free_outside_loops": rep.free_outside_loops,
-    }
-    human = (
-        f"weighted rank sum {rep.weighted_rank_sum} vs rank {rep.total_rank}: "
-        f"{'equal' if rep.equality else 'strict'}; "
-        f"free outside loops: {rep.free_outside_loops}"
-    )
-    return result, {}, human, 0
-
-
-def _parse_preset(text: str, n: int) -> WeightedFamily:
+def _parse_preset(text: str, n: int) -> families.WeightedFamily:
     name, _, arg = text.partition(":")
-    if name == "hadamard":
-        if arg:
-            raise ValidationError("hadamard takes no argument")
-        return preset_family("hadamard", n)
-    if name == "szasz":
-        k = None
-        if arg:
-            try:
-                k = int(arg)
-            except ValueError:
-                raise ValidationError(f"szasz wants an integer k, got {arg!r}") from None
-        return preset_family("szasz", n, k=k)
-    if name == "fischer":
-        block = None
-        if arg:
-            try:
-                block = tuple(int(x) for x in arg.split(","))
-            except ValueError:
-                raise ValidationError(
-                    f"fischer wants comma-separated elements, got {arg!r}"
-                ) from None
-        return preset_family("fischer", n, block=block)
-    raise ValidationError(
-        f"unknown preset {name!r}; expected hadamard, szasz or fischer"
-    )
+    k = block = None
+    if arg and name == "hadamard":
+        raise ValidationError("hadamard takes no argument")
+    if arg and name == "szasz":
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ValidationError(f"szasz wants an integer k, got {arg!r}") from None
+    if arg and name == "fischer":
+        try:
+            block = tuple(int(x) for x in arg.split(","))
+        except ValueError:
+            raise ValidationError(
+                f"fischer wants comma-separated elements, got {arg!r}"
+            ) from None
+    return gauss.preset_family(name, n, k=k, block=block)  # rejects unknown names
 
 
-def cmd_detineq(args, inputs: _Inputs):
-    if args.matrix.endswith(".csv"):
-        text = inputs.read(args.matrix, "matrix").decode("utf-8", errors="replace")
-        K = load_pd_matrix_csv(text)
-    else:
-        K = load_pd_matrix(inputs.read_json(args.matrix, "matrix"))
-    if (args.family is None) == (args.preset is None):
+def _detineq(a, tol):
+    if (a.family is None) == (a.preset is None):
         raise ValidationError("give either a family file or --preset, not both")
-    if args.family is not None:
-        wf = load_family(inputs.read_json(args.family, "family"))
-    else:
-        wf = _parse_preset(args.preset, K.n)
-    tol = _resolve_tol(args)
-    rep = det_equality_check(K, wf, tol)
-    result = {
-        "log_lhs": rep.log_lhs,
-        "log_rhs": rep.log_rhs,
-        "log_gap": rep.log_gap,
-        "equality": rep.equality,
-        "merge_groups": [list(g) for g in rep.merge_groups],
-        "offdiag_max": rep.offdiag_max,
-        "diagonal_ok": rep.diagonal_ok,
-        "tol": rep.tol,
-        "tol_prime": rep.tol_prime,
-    }
-    human = (
-        f"log-det gap {rep.log_gap:.6g} (lhs {rep.log_lhs:.6g} vs rhs "
-        f"{rep.log_rhs:.6g}): {'equality' if rep.equality else 'strict'}; "
-        f"block-diagonal: {rep.diagonal_ok}"
-    )
-    params = {"tol": rep.tol, "preset": args.preset}
-    return result, params, human, 0
+    wf = a.family if a.family is not None else _parse_preset(a.preset, a.matrix.n)
+    return gauss.det_equality_check(a.matrix, wf, tol)
 
 
-def cmd_normalize(args, inputs: _Inputs):
-    wf = load_family(inputs.read_json(args.family, "family"))
-    norm, merge_map = wf.normalize()
-    result = {
-        "family": dump_family(norm),
-        "merge_map": {str(k): v for k, v in sorted(merge_map.items())},
-    }
-    human = (
-        f"normalized to {len(norm.members)} members on [1:{norm.n}]"
-        + ("" if norm.n == wf.n else f" (merged from [1:{wf.n}])")
-    )
-    return result, {}, human, 0
+def _find_partition(a, tol):
+    found = families.find_fractional_partition(a.sets.masks, a.sets.n)
+    return {"found": found is not None, "family": found}
 
 
-def cmd_find_partition(args, inputs: _Inputs):
-    doc = load_family_document(inputs.read_json(args.sets, "sets"))
-    if isinstance(doc, WeightedFamily):
-        raise ValidationError("sets: omit weights; they are what is being sought")
-    found = find_fractional_partition(doc.masks, doc.n)
-    result = {
-        "found": found is not None,
-        "family": None if found is None else dump_family(found),
-    }
-    human = (
-        "no fractional partition supported on these sets"
-        if found is None
-        else f"fractional partition with {len(found.members)} members"
-    )
-    return result, {}, human, 0
-
-
-def cmd_selftest(args, inputs: _Inputs):
+def _selftest(a, tol):
+    b1 = fixtures.modular_singletons()
+    b2 = fixtures.modular_mixed_signs()
+    b3 = fixtures.zero_gap_nonmonotone()
     checks: list[dict] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    b1 = modular_singletons()
-    cert = certify_modular_partial(b1.partial, b1.family)
-    add(
-        "singletons: certified modular from 5 values",
-        cert.verdict == "modular" and cert.checked_sum == Fraction(98),
-        f"verdict={cert.verdict} checked_sum={cert.checked_sum}",
-    )
-    add(
-        "singletons: completion has zero upper gap",
-        gap_upper(b1.table, b1.family) == 0,
-    )
-    add("singletons: completion is modular", bool(is_modular(b1.table)))
+    def certified(b, total: Fraction) -> tuple[bool, str]:
+        cert = gaps.certify_modular_partial(b.partial, b.family)
+        ok = cert.verdict == "modular" and cert.checked_sum == total
+        return ok, f"verdict={cert.verdict} checked_sum={cert.checked_sum}"
 
-    b2 = modular_mixed_signs()
-    add(
-        "mixed-signs: family is a fractional partition",
-        b2.family.classify().flavor == "partition",
-    )
-    cert2 = certify_modular_partial(b2.partial, b2.family)
+    def zero_gap(b) -> bool:
+        return gaps.gap_upper(b.table, b.family) == 0
+
+    add("singletons: certified modular from 5 values", *certified(b1, Fraction(98)))
+    add("singletons: completion has zero upper gap", zero_gap(b1))
+    add("singletons: completion is modular", setfn.is_modular(b1.table))
+    partition = b2.family.classify().flavor == "partition"
+    add("mixed-signs: family is a fractional partition", partition)
     add(
         "mixed-signs: certified modular, weighted sum 18/5",
-        cert2.verdict == "modular" and cert2.checked_sum == Fraction(18, 5),
-        f"verdict={cert2.verdict} checked_sum={cert2.checked_sum}",
+        *certified(b2, Fraction(18, 5)),
     )
-    add(
-        "mixed-signs: completion has zero upper gap",
-        gap_upper(b2.table, b2.family) == 0,
-    )
-
-    b3 = zero_gap_nonmonotone()
-    add("nonmonotone: submodular", bool(is_submodular(b3.table)))
-    add("nonmonotone: prefix-nondecreasing", is_prefix_nondecreasing(b3.table))
-    add("nonmonotone: not non-decreasing", not is_nondecreasing(b3.table))
-    add("nonmonotone: not modular", not is_modular(b3.table))
-    add(
-        "nonmonotone: zero covering gap anyway",
-        gap_upper(b3.table, b3.family) == 0,
-    )
+    add("mixed-signs: completion has zero upper gap", zero_gap(b2))
+    add("nonmonotone: submodular", setfn.is_submodular(b3.table))
+    add("nonmonotone: prefix-nondecreasing", setfn.is_prefix_nondecreasing(b3.table))
+    add("nonmonotone: not non-decreasing", not setfn.is_nondecreasing(b3.table))
+    add("nonmonotone: not modular", not setfn.is_modular(b3.table))
+    add("nonmonotone: zero covering gap anyway", zero_gap(b3))
     try:
-        equality_conditions_covering(b3.table, b3.family)
+        gaps.equality_conditions_covering(b3.table, b3.family)
         add("nonmonotone: covering equality test refuses", False, "no refusal")
     except PreconditionError as exc:
         add("nonmonotone: covering equality test refuses", True, str(exc))
-
-    all_ok = all(c["ok"] for c in checks)
-    result = {"checks": checks, "all_ok": all_ok}
-    failed = [c["name"] for c in checks if not c["ok"]]
-    human = (
-        f"selftest: {len(checks)} checks, all passed"
-        if all_ok
-        else f"selftest: FAILED: {', '.join(failed)}"
-    )
-    return result, {}, human, 0 if all_ok else _EXIT_VERDICT
+    return {"checks": checks, "all_ok": all(c["ok"] for c in checks)}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_SETFN = _Input("setfn", _json("load_setfn"))
+_FAMILY = _Input("family", _json("load_family"))
+_OPTIONAL_FAMILY = _Input("family", _json("load_family"), optional=True)
+
+COMMANDS = (
+    _Command(
+        "gaps", "upper/lower gaps of f against a family",
+        inputs=(_SETFN, _FAMILY),
+        run=_gaps,
+        human=lambda a, r: (
+            f"{r['classification'].flavor}: gap_upper={r['gap_upper']} "
+            f"gap_lower={r['gap_lower']} bounds_hold={r['bounds_hold']}"
+        ),
+    ),
+    _Command(
+        "certify", "decide modularity from member values plus the total",
+        inputs=(_Input("partial", _json("load_partial")), _FAMILY),
+        flags={
+            "--no-assume-submodular": _switch(
+                "record that submodularity of the underlying f is NOT asserted"
+            )
+        },
+        run=lambda a, tol: gaps.certify_modular_partial(
+            a.partial, a.family, assume_submodular=not a.no_assume_submodular, tol=tol
+        ),
+        params=lambda a, r: {"assume_submodular": r.assumed_submodular},
+        human=_certify_human,
+        exit=lambda r: _CERTIFY_EXIT.get(r.verdict, _EXIT_VALIDATION),
+    ),
+    _Command(
+        "stability", "per-element defect bound epsilon/sigma",
+        inputs=(_SETFN, _FAMILY),
+        flags={"--epsilon": {"required": True, "help": 'gap budget, "p/q" or float'}},
+        run=lambda a, tol: gaps.stability_check(
+            a.setfn, a.family, _parse_epsilon(a.epsilon), tol
+        ),
+        params=lambda a, r: {"epsilon": r.epsilon},
+        human=_stability_human,
+        exit=lambda r: 0 if r.satisfied else _EXIT_VERDICT,
+    ),
+    _Command(
+        "equality", "covering/packing equality vs modular-plus-special-zeros",
+        inputs=(_SETFN, _FAMILY),
+        run=lambda a, tol: gaps.equality_conditions_covering(a.setfn, a.family, tol),
+        human=lambda a, r: (
+            f"{r.branch}: gap={r.gap} equality={r.equality} "
+            f"modular={r.modular.ok} zero_on_special={r.zero_on_special}"
+        ),
+    ),
+    _Command(
+        "shearer", "integer covering equality at weights 1/k",
+        inputs=(
+            _SETFN,
+            _Input(
+                "sets",
+                _unweighted("the multiplicity rule assigns them"),
+                help="family JSON without weights",
+            ),
+        ),
+        run=lambda a, tol: gaps.shearer_check(a.setfn, a.sets.masks, tol),
+        human=lambda a, r: (
+            f"k={r.k}: member sum {r.member_sum} vs k*f(full) "
+            f"{r.scaled_total}; equality={r.equality}"
+        ),
+    ),
+    _Command(
+        "mmi", "information measures of a joint pmf",
+        inputs=(
+            _Input("dist", _json("load_distribution"), role="distribution"),
+            _OPTIONAL_FAMILY,
+        ),
+        flags={
+            "--tc": _switch("total correlation"),
+            "--dtc": _switch("dual total correlation"),
+            "--si": _switch("shared information"),
+            "--max": _switch("maximize family MI over fractional partitions"),
+        },
+        run=_mmi,
+        params=lambda a, r: {"mode": r["mode"]},
+        human=lambda a, r: f"{_MMI_MODES.get(r['mode'], 'family MI')} = {r['value']} bits",
+    ),
+    _Command(
+        "matroid", "weighted rank sum vs rank of the ground set",
+        inputs=(_Input("matroid", _json("load_matroid")), _FAMILY),
+        tol=False,
+        run=lambda a, tol: matroid.rank_equality_check(a.matroid, a.family),
+        human=lambda a, r: (
+            f"weighted rank sum {r.weighted_rank_sum} vs rank {r.total_rank}: "
+            f"{'equal' if r.equality else 'strict'}; "
+            f"free outside loops: {r.free_outside_loops}"
+        ),
+    ),
+    _Command(
+        "detineq", "weighted determinant equality test",
+        inputs=(
+            _Input(
+                "matrix", _load_matrix, help="PD matrix as JSON, or CSV with a .csv suffix"
+            ),
+            _OPTIONAL_FAMILY,
+        ),
+        flags={
+            "--preset": {
+                "help": "hadamard | szasz[:k] | fischer[:i,j,...] instead of a family file"
+            }
+        },
+        run=_detineq,
+        params=lambda a, r: {"tol": r.tol, "preset": a.preset},  # the tol used
+        human=lambda a, r: (
+            f"log-det gap {r.log_gap:.6g} (lhs {r.log_lhs:.6g} vs rhs "
+            f"{r.log_rhs:.6g}): {'equality' if r.equality else 'strict'}; "
+            f"block-diagonal: {r.diagonal_ok}"
+        ),
+    ),
+    _Command(
+        "normalize", "drop zeros, rescale out the full set, merge",
+        inputs=(_FAMILY,),
+        tol=False,
+        run=lambda a, tol: dict(zip(("family", "merge_map"), a.family.normalize())),
+        human=lambda a, r: (
+            f"normalized to {len(r['family'].members)} members on [1:{r['family'].n}]"
+            + ("" if r["family"].n == a.family.n else f" (merged from [1:{a.family.n}])")
+        ),
+    ),
+    _Command(
+        "find-partition", "find fractional-partition weights for given sets",
+        inputs=(_Input("sets", _unweighted("they are what is being sought")),),
+        tol=False,
+        run=_find_partition,
+        human=lambda a, r: (
+            f"fractional partition with {len(r['family'].members)} members"
+            if r["found"]
+            else "no fractional partition supported on these sets"
+        ),
+    ),
+    _Command(
+        "selftest", "run the built-in worked instances",
+        inputs=(),
+        tol=False,
+        run=_selftest,
+        human=lambda a, r: (
+            f"selftest: {len(r['checks'])} checks, all passed"
+            if r["all_ok"]
+            else f"selftest: FAILED: {', '.join(c['name'] for c in r['checks'] if not c['ok'])}"
+        ),
+        exit=lambda r: 0 if r["all_ok"] else _EXIT_VERDICT,
+    ),
+)
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracsub",
         description=(
@@ -511,125 +442,38 @@ def _build_parser() -> argparse.ArgumentParser:
             "determinant inequalities."
         ),
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_tol(p):
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="float comparison tolerance (default 2**-30; ignored for "
-            "exact-rational instances; FRACSUB_TOL also accepted)",
-        )
-        return p
-
-    p = with_tol(sub.add_parser("gaps", help="upper/lower gaps of f against a family"))
-    p.add_argument("setfn")
-    p.add_argument("family")
-    p.set_defaults(func=cmd_gaps)
-
-    p = with_tol(
-        sub.add_parser(
-            "certify", help="decide modularity from member values plus the total"
-        )
-    )
-    p.add_argument("partial")
-    p.add_argument("family")
-    p.add_argument(
-        "--no-assume-submodular",
-        action="store_true",
-        help="record that submodularity of the underlying f is NOT asserted",
-    )
-    p.set_defaults(func=cmd_certify)
-
-    p = with_tol(
-        sub.add_parser("stability", help="per-element defect bound epsilon/sigma")
-    )
-    p.add_argument("setfn")
-    p.add_argument("family")
-    p.add_argument("--epsilon", required=True, help='gap budget, "p/q" or float')
-    p.set_defaults(func=cmd_stability)
-
-    p = with_tol(
-        sub.add_parser(
-            "equality",
-            help="covering/packing equality vs modular-plus-special-zeros",
-        )
-    )
-    p.add_argument("setfn")
-    p.add_argument("family")
-    p.set_defaults(func=cmd_equality)
-
-    p = with_tol(
-        sub.add_parser(
-            "shearer", help="integer covering equality at weights 1/k"
-        )
-    )
-    p.add_argument("setfn")
-    p.add_argument("sets", help="family JSON without weights")
-    p.set_defaults(func=cmd_shearer)
-
-    p = with_tol(
-        sub.add_parser("mmi", help="information measures of a joint pmf")
-    )
-    p.add_argument("dist")
-    p.add_argument("family", nargs="?", default=None)
-    p.add_argument("--tc", action="store_true", help="total correlation")
-    p.add_argument("--dtc", action="store_true", help="dual total correlation")
-    p.add_argument("--si", action="store_true", help="shared information")
-    p.add_argument(
-        "--max",
-        dest="max_partitions",
-        action="store_true",
-        help="maximize family MI over fractional partitions",
-    )
-    p.set_defaults(func=cmd_mmi)
-
-    p = sub.add_parser("matroid", help="weighted rank sum vs rank of the ground set")
-    p.add_argument("matroid")
-    p.add_argument("family")
-    p.set_defaults(func=cmd_matroid)
-
-    p = with_tol(
-        sub.add_parser("detineq", help="weighted determinant equality test")
-    )
-    p.add_argument("matrix", help="PD matrix as JSON, or CSV with a .csv suffix")
-    p.add_argument("family", nargs="?", default=None)
-    p.add_argument(
-        "--preset",
-        default=None,
-        help="hadamard | szasz[:k] | fischer[:i,j,...] instead of a family file",
-    )
-    p.set_defaults(func=cmd_detineq)
-
-    p = sub.add_parser("normalize", help="drop zeros, rescale out the full set, merge")
-    p.add_argument("family")
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser(
-        "find-partition", help="find fractional-partition weights for given sets"
-    )
-    p.add_argument("sets")
-    p.set_defaults(func=cmd_find_partition)
-
-    p = sub.add_parser("selftest", help="run the built-in worked instances")
-    p.set_defaults(func=cmd_selftest)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        if cmd.tol:
+            p.add_argument(
+                "--tol",
+                type=float,
+                help="float comparison tolerance (default 2**-30; ignored for "
+                "exact-rational instances; FRACSUB_TOL also accepted)",
+            )
+        for spec in cmd.inputs:
+            p.add_argument(spec.dest, nargs="?" if spec.optional else None, help=spec.help)
+        for flag, kwargs in cmd.flags.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(cmd=cmd)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    inputs = _Inputs()
+    args = _parser().parse_args(argv)
+    cmd, inputs = args.cmd, _Inputs()
     try:
-        result, params, human, code = args.func(args, inputs)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
+        for spec in cmd.inputs:
+            path = getattr(args, spec.dest)
+            if path is not None:
+                setattr(args, spec.dest, spec.load(inputs, path, spec.role or spec.dest))
+        tol = _resolve_tol(args) if cmd.tol else None
+        result = cmd.run(args, tol)
+        params = {"tol": tol} if cmd.tol else {}
+        params.update(cmd.params(args, result))
+        human, code = cmd.human(args, result), cmd.exit(result)
     except PreconditionError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         if exc.note:
@@ -638,7 +482,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return _EXIT_VERDICT
-    except FracsubError as exc:
+    except FracsubError as exc:  # ValidationError and any other bad input
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     report = {
@@ -648,7 +492,7 @@ def main(argv=None) -> int:
         "parameters": params,
         "result": result,
     }
-    sys.stdout.write(canonical_dumps(report))
+    sys.stdout.write(jsonio.canonical_dumps(report))
     print(human, file=sys.stderr)
     return code
 

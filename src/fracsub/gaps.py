@@ -32,13 +32,13 @@ caller tolerance (default 2**-30).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bitsets import full_mask
+from .bitsets import MASKS, full_mask
 from .errors import ConsistencyError, PreconditionError, ValidationError
 from .families import FamilyClassification, WeightedFamily, min_multiplicity
-from .rationals import Scalar, coerce_scalar, effective_tol
+from .rationals import Scalar, coerce_scalar, effective_tol, require_finite
 from .setfn import (
     PartialSetFunction,
     SetFunction,
@@ -172,7 +172,7 @@ def stability_check(
             "family violates the standing assumptions; normalize first"
         )
     sigma = wf.sigma()
-    epsilon = coerce_scalar(epsilon)
+    epsilon = require_finite(coerce_scalar(epsilon), "epsilon")
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
     full = full_mask(f.n)
@@ -204,7 +204,7 @@ class ModularityCertificate:
     checked_sum: Scalar | None
     target: Scalar | None
     assumed_submodular: bool
-    missing: tuple[int, ...]
+    missing: tuple[int, ...] = field(metadata=MASKS)
     note: str = ""
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .bitsets import MAX_GROUND, complement, elements, full_mask, mask_of, subsets
 from .errors import ConsistencyError, PreconditionError, ValidationError
 from .families import WeightedFamily, singleton_family
-from .rationals import GAUSS_TOL
+from .rationals import GAUSS_TOL, require_finite
 from .setfn import SetFunction
 
 __all__ = [
@@ -57,10 +57,12 @@ class PDMatrix:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1 or a.shape[0] > MAX_GROUND:
             raise ValidationError(f"order must be in 1..{MAX_GROUND}, got {a.shape[0]}")
+        if not np.all(np.isfinite(a)):
+            raise ValidationError("matrix entries must be finite, not NaN or infinity")
         scale = float(np.max(np.abs(a))) or 1.0
         if float(np.max(np.abs(a - a.T))) > _SYM_TOL * scale:
             raise ValidationError("matrix is not symmetric")
-        a = (a + a.T) / 2.0
+        a = a / 2.0 + a.T / 2.0  # (a + a.T) / 2 overflows near the float max
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
         try:
@@ -177,7 +179,7 @@ def det_equality_check(
     """
     if tol is None:
         tol = GAUSS_TOL
-    tol = float(tol)
+    tol = float(require_finite(tol, "tolerance"))
     if tol < 0:
         raise ValidationError("tolerance must be nonnegative")
     if K.n != wf.n:

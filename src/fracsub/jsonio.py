@@ -10,13 +10,14 @@ them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from .bitsets import MAX_GROUND, mask_of, elements
+from .bitsets import MAX_GROUND, elements, mask_of
 from .errors import ValidationError
 from .families import WeightedFamily
 from .gauss import PDMatrix
@@ -216,13 +217,7 @@ def load_family(obj: Any) -> WeightedFamily:
 
 
 def dump_family(wf: WeightedFamily) -> dict:
-    return {
-        "n": wf.n,
-        "members": [
-            {"set": list(elements(m)), "weight": format_rational(w)}
-            for m, w in wf.members
-        ],
-    }
+    return to_jsonable(wf)
 
 
 def load_distribution(obj: Any) -> JointDistribution:
@@ -351,9 +346,10 @@ def load_pd_matrix_csv(text: str) -> PDMatrix:
 def to_jsonable(value: Any) -> Any:
     """Recursively turn report values into JSON-ready plain objects.
 
-    Fractions become "p/q" strings, numpy scalars plain floats, masks
-    are left as the caller rendered them (reports carry 1-indexed
-    element lists, never raw masks).
+    Fractions become "p/q" strings, numpy scalars plain numbers, a
+    WeightedFamily its wire format and any other dataclass an object of
+    its fields.  Fields with ``bitsets.MASKS`` metadata hold masks and
+    come out as 1-indexed element lists; reports never carry raw masks.
     """
     if isinstance(value, Fraction):
         return format_rational(value)
@@ -367,7 +363,27 @@ def to_jsonable(value: Any) -> Any:
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
+    if isinstance(value, WeightedFamily):
+        members = [
+            {"set": list(elements(m)), "weight": format_rational(w)} for m, w in value.members
+        ]
+        return {"n": value.n, "members": members}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        out = {}
+        for f in dataclasses.fields(value):
+            v = getattr(value, f.name)
+            out[f.name] = _element_lists(v) if f.metadata.get("masks") else to_jsonable(v)
+        return out
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _element_lists(masks: Any) -> Any:
+    """A mask, or nested tuples of masks, as 1-indexed element lists."""
+    if masks is None:
+        return None
+    if isinstance(masks, (int, np.integer)):
+        return list(elements(int(masks)))
+    return [_element_lists(m) for m in masks]
 
 
 def canonical_dumps(obj: Any) -> str:

@@ -10,6 +10,7 @@ to override it).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -49,8 +50,17 @@ def coerce_scalar(value) -> Scalar:
     raise ValidationError(f"unsupported scalar type {type(value).__name__}")
 
 
+def require_finite(value, what: str):
+    """Return value, or raise ValidationError if it is NaN or infinite."""
+    if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def effective_tol(is_rational: bool, tol: float | None) -> Scalar:
     """Resolve a caller tolerance against the instance's scalar kind."""
+    if tol is not None:
+        require_finite(tol, "tolerance")
     if is_rational:
         return Fraction(0)
     if tol is None:

@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .bitsets import MAX_GROUND, check_mask, elements, full_mask, iter_bits, subsets
+from .bitsets import MASKS, MAX_GROUND, check_mask, elements, full_mask, iter_bits, subsets
 from .errors import PreconditionError, ValidationError
 from .rationals import Scalar, coerce_scalar, effective_tol
 
@@ -75,7 +75,7 @@ class Verdict:
     """Boolean answer plus a witness for the failing case (None if ok)."""
 
     ok: bool
-    witness: object = None
+    witness: object = field(default=None, metadata=MASKS)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -457,3 +457,62 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("fracsub ")
+
+
+# ------------------------------------------------ non-finite numeric flags
+
+
+@pytest.mark.parametrize(
+    "entries, tol",
+    [
+        # on the identity --tol nan used to report "strict; block-diagonal: False"
+        ([[1.0, 0.0], [0.0, 1.0]], "nan"),
+        ([[1.0, 0.0], [0.0, 1.0]], "inf"),
+        ([[1.0, 0.0], [0.0, 1.0]], "-inf"),
+        ([[2.0, 1.0], [1.0, 2.0]], "inf"),  # used to be called an equality case
+    ],
+)
+def test_detineq_rejects_non_finite_tol(capsys, tmp_path, entries, tol):
+    m = write(tmp_path, "k.json", {"n": 2, "entries": entries})
+    code, out, err = run(capsys, "detineq", m, "--preset", "hadamard", f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert "--tol must be finite" in err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "NaN"])
+def test_stability_rejects_non_finite_epsilon(capsys, singleton_files, epsilon):
+    # --epsilon nan used to exit 1 and --epsilon inf to exit 0
+    code, out, err = run(
+        capsys, "stability", singleton_files["setfn"], singleton_files["family"],
+        f"--epsilon={epsilon}",
+    )
+    assert (code, out) == (2, "")
+    assert "--epsilon must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_env_tol_rejects_non_finite(capsys, singleton_files, monkeypatch, value):
+    # FRACSUB_TOL=nan used to end in "internal disagreement" (exit 1)
+    monkeypatch.setenv("FRACSUB_TOL", value)
+    files = singleton_files
+    code, out, err = run(capsys, "equality", files["setfn"], files["family"])
+    assert (code, out) == (2, "")
+    assert "FRACSUB_TOL must be finite" in err
+
+
+def test_detineq_rejects_nan_matrix(capsys, tmp_path):
+    # json.loads reads the bare NaN token; this used to exit 1
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 2, "entries": [[1, NaN], [NaN, 1]]}')
+    code, out, err = run(capsys, "detineq", str(path), "--preset", "hadamard")
+    assert (code, out) == (2, "")
+    assert "finite" in err
+
+
+def test_detineq_huge_diagonal_is_equality(capsys, tmp_path):
+    # (a + a.T) / 2 overflowed to inf here and the run exited 1
+    m = write(tmp_path, "k.json", {"n": 2, "entries": [[1e308, 0.0], [0.0, 1e308]]})
+    code, out, err = run(capsys, "detineq", m, "--preset", "hadamard")
+    assert code == 0
+    assert json.loads(out)["result"]["equality"] is True
+    assert ": equality;" in err

@@ -448,3 +448,10 @@ def test_shearer_uncoverable_element_rejected():
 def test_consistency_error_importable():
     # paired verdicts raise rather than disagree; nothing here may trip it
     assert issubclass(ConsistencyError, Exception)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_stability_rejects_non_finite_epsilon(bad):
+    b = modular_singletons()
+    with pytest.raises(ValidationError, match="epsilon must be finite"):
+        stability_check(b.table, b.family, bad)

@@ -331,3 +331,33 @@ def test_gap_lower_also_nonnegative_for_gaussian():
         h = gaussian_entropy_setfn(random_pd(n, rng))
         wf = random_partition_family(n, rng)
         assert gap_lower(h, wf) >= -(2.0**-25)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_pd_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        PDMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(ValidationError, match="finite"):
+        PDMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_pd_matrix_near_float_max_does_not_overflow():
+    K = PDMatrix(np.diag([1e308, 1e308]))
+    assert np.all(np.isfinite(K.entries))
+    rep = det_equality_check(K, preset_family("hadamard", 2))
+    assert rep.equality and rep.diagonal_ok
+
+
+def test_pd_matrix_symmetrization_keeps_finite_bits():
+    rng = random.Random(7)
+    for n in (2, 5, 9):
+        a = np.array(random_pd(n, rng).entries)
+        upper = np.triu_indices(n, 1)
+        a[upper] = np.nextafter(a[upper], np.inf)  # one-ulp asymmetry
+        assert np.array_equal(PDMatrix(a).entries, (a + a.T) / 2.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_det_equality_check_rejects_non_finite_tol(bad):
+    with pytest.raises(ValidationError, match="tolerance must be finite"):
+        det_equality_check(PDMatrix(np.eye(2)), preset_family("hadamard", 2), bad)

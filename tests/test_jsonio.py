@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fracsub.errors import ValidationError
-from fracsub.families import WeightedFamily
+from fracsub.families import FamilyClassification, WeightedFamily
+from fracsub.gaps import GapReport, ModularityCertificate
 from fracsub.jsonio import (
     UnweightedFamily,
     canonical_dumps,
@@ -24,7 +25,7 @@ from fracsub.jsonio import (
     to_jsonable,
 )
 from fracsub.matroid import FreeMatroid, GraphicMatroid, LinearMatroid, UniformMatroid
-from fracsub.setfn import SetFunction
+from fracsub.setfn import SetFunction, Verdict
 
 F = Fraction
 
@@ -272,6 +273,48 @@ def test_to_jsonable_nesting():
     assert doc == {"w": "1/3", "xs": ["2", [0.5, 7]], "flag": True, "none": None}
     assert type(doc["xs"][1][0]) is float
     assert type(doc["xs"][1][1]) is int
+
+
+def test_to_jsonable_walks_dataclasses_and_renders_masks():
+    assert to_jsonable(Verdict(True)) == {"ok": True, "witness": None}
+    assert to_jsonable(Verdict(False, 0b101)) == {"ok": False, "witness": [1, 3]}
+    assert to_jsonable(Verdict(False, (0b1, 0b110))) == {
+        "ok": False,
+        "witness": [[1], [2, 3]],
+    }
+    cert = ModularityCertificate("insufficient-data", None, None, True, (0b11, 0b1000))
+    assert to_jsonable(cert) == {
+        "verdict": "insufficient-data",
+        "checked_sum": None,
+        "target": None,
+        "assumed_submodular": True,
+        "missing": [[1, 2], [4]],
+        "note": "",
+    }
+    wf = WeightedFamily(3, ((0b011, F(1, 2)), (0b110, F(3))))
+    assert to_jsonable({"family": wf}) == {"family": dump_family(wf)}
+    assert dump_family(wf) == {
+        "n": 3,
+        "members": [{"set": [1, 2], "weight": "1/2"}, {"set": [2, 3], "weight": "3"}],
+    }
+
+
+def test_to_jsonable_leaves_unmarked_int_fields_alone():
+    cls = FamilyClassification("none", (F(1),), (), ())
+    rep = GapReport(F(1), 0.5, F(2), cls, (True, False), ())
+    assert to_jsonable(rep) == {
+        "gap_upper": "1",
+        "gap_lower": 0.5,
+        "weight_total": "2",
+        "classification": {
+            "flavor": "none",
+            "coverage": ["1"],
+            "over_covered": [],
+            "under_covered": [],
+        },
+        "bounds_hold": [True, False],
+        "notes": [],
+    }
 
 
 def test_to_jsonable_rejects_unknown():

@@ -9,6 +9,7 @@ from fracsub.rationals import (
     effective_tol,
     format_rational,
     parse_rational,
+    require_finite,
 )
 
 
@@ -55,3 +56,18 @@ def test_effective_tol_float_defaults():
     assert effective_tol(False, 1e-12) == 1e-12
     with pytest.raises(ValidationError):
         effective_tol(False, -1e-9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_tolerances_are_rejected(bad):
+    with pytest.raises(ValidationError, match="must be finite"):
+        effective_tol(False, bad)
+    with pytest.raises(ValidationError, match="must be finite"):
+        effective_tol(True, bad)  # a bad argument, even where it is ignored
+    with pytest.raises(ValidationError, match="epsilon must be finite"):
+        require_finite(bad, "epsilon")
+
+
+def test_require_finite_passes_finite_values_through():
+    for value in (0, -3, Fraction(10**400, 3), 1e308, -0.0, 5e-324):
+        assert require_finite(value, "x") is value
