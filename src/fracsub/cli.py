@@ -4,10 +4,10 @@ Each row of ``COMMANDS`` gives a subcommand's name and help, its input
 files with their loaders, whether ``--tol`` applies, its extra flags,
 the library call, the report parameters, the human summary line and
 the exit-code rule.  ``main`` builds the parser from the table and
-runs every row alike: read and hash the inputs, resolve
-the tolerance, call the library, write one canonical JSON report to
-stdout (``jsonio`` serializes the library's report dataclasses) and
-the summary line to stderr.  Reports are byte-stable, with input files
+runs every row alike: read and hash the inputs, resolve the tolerance,
+call the library, write one canonical JSON report to stdout (``jsonio``
+serializes the library's report dataclasses) and the summary line to
+stderr.  Reports are byte-stable, with input files
 identified by content hash.  Rows reach library functions as module
 attributes looked up per call, so rebinding one (as a tracer does)
 reaches every call.
@@ -431,6 +431,7 @@ COMMANDS = (
         exit=lambda r: 0 if r["all_ok"] else _EXIT_VERDICT,
     ),
 )
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
