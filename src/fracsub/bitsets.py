@@ -5,11 +5,16 @@ bit i-1, so the subset {1,3} of any ground set is the mask 0b101 = 5.
 Dense tables are indexed directly by mask: index i encodes the subset
 whose mask is i.  Conversion to and from 1-indexed element lists
 happens only at I/O boundaries.
+
+``member_bits`` is the one mask-list encoder: a family's members as a
+0/1 member-by-element matrix, read for coverage, sigma and LP rows.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -74,3 +79,15 @@ def check_mask(mask: int, n: int) -> int:
     if not 0 <= mask < (1 << n):
         raise ValidationError(f"mask {mask} outside table for ground set [1:{n}]")
     return mask
+
+
+def member_bits(masks: list[int], n: int) -> np.ndarray:
+    """0/1 uint8 matrix with one row per mask: entry (k, i) is bit i of masks[k]."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width),
+        axis=1,
+        count=n,
+        bitorder="little",
+    )

@@ -13,8 +13,9 @@ attributes looked up per call, so rebinding one (as a tracer does)
 reaches every call.
 
 Exit codes: 0 success; 1 failed verdict (certify says not-modular,
-stability unsatisfied, selftest failure) or an internal cross-check
-disagreement; 2 malformed input; 3 unmet mathematical precondition.
+stability unsatisfied, selftest failure); 2 malformed input; 3 unmet
+mathematical precondition; 4 internal cross-check disagreement (a
+``ConsistencyError``: a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +38,12 @@ from .rationals import parse_rational, require_finite
 _EXIT_VERDICT = 1
 _EXIT_VALIDATION = 2
 _EXIT_PRECONDITION = 3
+_EXIT_BUG = 4
+
+# argparse reads a separate flag value such as "-1e-9" or "-inf" as an
+# option; main joins it to its flag so that it reaches the value check
+_NUMBER_FLAGS = ("--tol", "--epsilon")
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 class _Inputs:
@@ -82,6 +90,17 @@ def _parse_epsilon(text: str):
     except ValueError:
         raise ValidationError(f"bad epsilon {text!r}") from None
     return require_finite(epsilon, "--epsilon")
+
+
+def _join_negative_values(argv) -> list[str]:
+    """``--tol -1e-9`` becomes ``--tol=-1e-9``."""
+    out: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if out and out[-1] in _NUMBER_FLAGS and _NEGATIVE_NUMBER.match(arg):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _json(loader: str) -> Callable:
@@ -463,7 +482,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_join_negative_values(argv))
     cmd, inputs = args.cmd, _Inputs()
     try:
         for spec in cmd.inputs:
@@ -482,7 +501,7 @@ def main(argv=None) -> int:
         return _EXIT_PRECONDITION
     except ConsistencyError as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
-        return _EXIT_VERDICT
+        return _EXIT_BUG
     except FracsubError as exc:  # ValidationError and any other bad input
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION

@@ -2,9 +2,10 @@
 
 The split mirrors the CLI exit codes: malformed input data (2),
 violated operation preconditions (3), and broken internal
-equivalences (1).  The last kind should never fire on correct code;
-it exists so that paired computations which must agree crash loudly
-instead of returning a silently wrong verdict.
+equivalences (4, apart from 1, a false verdict).  The last kind
+should never fire on correct code; it exists so that paired
+computations which must agree crash loudly instead of returning a
+silently wrong verdict.
 """
 
 from __future__ import annotations

@@ -24,17 +24,23 @@ packing.  ``sigma`` is the separation constant
 
 the denominator of the stability bound; a normalized fractional
 partition always has sigma > 0.
+
+Coverage and sigma read one cached matrix, the member-by-element bit
+matrix of ``bitsets.member_bits`` in one block B_w per distinct weight
+w: c_i is sum_w w * (column i sum of B_w), and the separating weights
+are sum_w w * B_w^T (1 - B_w), counted in integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .bitsets import check_mask, complement, full_mask, iter_bits
+from .bitsets import check_mask, complement, full_mask, iter_bits, member_bits
 from .errors import PreconditionError, ValidationError
 from . import lp
 
@@ -82,16 +88,20 @@ class WeightedFamily:
         object.__setattr__(self, "members", tuple(norm))
 
     @cached_property
-    def classification(self) -> FamilyClassification:
-        # members counted per element in ints, one group per distinct
-        # weight; then one exact product per (weight, element)
+    def _bits(self) -> tuple[tuple[Fraction, np.ndarray], ...]:
+        """(w, B_w) per distinct weight w: the bit matrix of its members."""
         by_weight: dict[tuple[int, int], tuple[Fraction, list[int]]] = {}
         for mask, w in self.members:
             by_weight.setdefault((w.numerator, w.denominator), (w, []))[1].append(mask)
+        return tuple((w, member_bits(masks, self.n)) for w, masks in by_weight.values())
+
+    @cached_property
+    def classification(self) -> FamilyClassification:
+        # members counted per element in ints; then one exact product
+        # per (weight, element)
         cov = [Fraction(0)] * self.n
-        for w, masks in by_weight.values():
-            counts = _member_bits(masks, self.n).sum(axis=0).tolist()
-            for i, count in enumerate(counts):
+        for w, bits in self._bits:
+            for i, count in enumerate(bits.sum(axis=0).tolist()):
                 if count:
                     cov[i] += w * count
         over = tuple(i + 1 for i, c in enumerate(cov) if c > 1)
@@ -129,36 +139,35 @@ class WeightedFamily:
         """Minimum separating weight over ordered element pairs."""
         if self.n < 2:
             raise PreconditionError("sigma needs at least two ground elements")
-        best: Fraction | None = None
-        worst_pair = None
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                s = Fraction(0)
-                for mask, w in self.members:
-                    if (mask >> i) & 1 and not (mask >> j) & 1:
-                        s += w
-                if best is None or s < best:
-                    best, worst_pair = s, (i + 1, j + 1)
-        if best == 0:
+        # separating weights as exact ints over the common denominator:
+        # pair counts B_w^T (1 - B_w) in int64, then one product per (w, pair)
+        den = math.lcm(*(w.denominator for w, _ in self._bits))
+        sep = np.zeros((self.n, self.n), dtype=object)
+        for w, bits in self._bits:
+            b = bits.astype(np.int64)
+            sep += w.numerator * (den // w.denominator) * (b.T @ (1 - b)).astype(object)
+        np.fill_diagonal(sep, math.inf)
+        i, j = divmod(int(sep.argmin()), self.n)  # the first minimum in (i, j) order
+        if sep[i, j] == 0:
             raise PreconditionError(
-                f"sigma = 0: no member separates {worst_pair[0]} from {worst_pair[1]}",
-                witness=worst_pair,
+                f"sigma = 0: no member separates {i + 1} from {j + 1}",
+                witness=(i + 1, j + 1),
             )
-        return best
+        return Fraction(sep[i, j], den)
 
     def satisfies_standing_assumptions(self) -> bool:
         """Positive weights, no full-set member, no always-co-occurring pair."""
-        if not self.members or any(w == 0 for _, w in self.members):
+        if not self.members or any(w == 0 or b.all(axis=1).any() for w, b in self._bits):
             return False
-        full = full_mask(self.n)
-        if any(m == full for m, _ in self.members):
-            return False
-        masks = [m for m, _ in self.members]
-        if self.n > 1 and len(_signature_groups(_member_bits(masks, self.n))) < self.n:
-            return False
-        return True
+        blocks = [bits for _, bits in self._bits]
+        return self.n == 1 or len(_signature_groups(np.vstack(blocks))) == self.n
+
+    def require_standing_assumptions(self) -> None:
+        """Refuse (PreconditionError) a family that needs ``normalize`` first."""
+        if not self.satisfies_standing_assumptions():
+            raise PreconditionError(
+                "family violates the standing assumptions; normalize first"
+            )
 
     def normalize(self) -> tuple["WeightedFamily", dict[int, int]]:
         """Standing cleanup; returns (family, merge map old -> new, 1-indexed)."""
@@ -174,7 +183,7 @@ class WeightedFamily:
             kept = [(m, w * scale) for m, w in kept if m != full]
         if not kept:
             raise PreconditionError("empty family after normalization")
-        bits = _member_bits([m for m, _ in kept], self.n)
+        bits = member_bits([m for m, _ in kept], self.n)
         groups = _signature_groups(bits)
         merge_map = {}
         for new_idx, group in enumerate(groups, start=1):
@@ -192,22 +201,10 @@ class WeightedFamily:
         return WeightedFamily(len(groups), new_members), merge_map
 
 
-def _member_bits(masks: list[int], n: int) -> np.ndarray:
-    """0/1 matrix with one row per mask: entry (k, i) is bit i of masks[k]."""
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    return np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width),
-        axis=1,
-        count=n,
-        bitorder="little",
-    )
-
-
 def _signature_groups(bits: np.ndarray) -> list[int]:
     """Partition ground elements into co-occurrence classes.
 
-    bits is the member-by-element matrix of ``_member_bits``.  Two
+    bits is the member-by-element matrix of ``member_bits``.  Two
     elements belong to one class iff every member contains both or
     neither, i.e. their columns are equal.  Classes are returned as
     masks on the original ground set, ordered by smallest element.
@@ -230,38 +227,22 @@ def find_fractional_partition(masks, n: int) -> WeightedFamily | None:
     positive-weight sub-multiset, or None if no assignment exists.
     """
     full = full_mask(n)
-    vars_ = [(idx, check_mask(m, n)) for idx, m in enumerate(masks)]
-    vars_ = [(idx, m) for idx, m in vars_ if 0 < m < full]
-    if not vars_:
+    masks = [m for m in masks if 0 < check_mask(m, n) < full]
+    if not masks:
         return None
-    rows = []
-    for i in range(n):
-        coeffs = tuple(
-            Fraction(1) if (m >> i) & 1 else Fraction(0) for _, m in vars_
-        )
-        rows.append(lp.Constraint(coeffs, "=", Fraction(1)))
-    prog = lp.RationalLP(tuple(Fraction(1) for _ in vars_), tuple(rows))
-    out = lp.solve(prog)
-    if out.status != "optimal":
+    try:
+        family, _ = lp.maximize_partition_weighted_sum(n, masks, [1] * len(masks))
+    except PreconditionError:  # the polytope is empty
         return None
-    kept = tuple(
-        (m, g) for (_, m), g in zip(vars_, out.solution) if g > 0
-    )
-    if not kept:
-        return None
-    return WeightedFamily(n, kept)
+    return family
 
 
 def min_multiplicity(masks, n: int) -> int:
     """Smallest cover count over elements for an unweighted multiset."""
-    counts = [0] * n
-    for m in masks:
-        check_mask(m, n)
-        for b in iter_bits(m):
-            counts[b] += 1
-    for i, c in enumerate(counts):
-        if c == 0:
-            raise ValidationError(f"element {i + 1} appears in no member")
+    masks = [check_mask(m, n) for m in masks]
+    counts = member_bits(masks, n).sum(axis=0).tolist()
+    if 0 in counts:
+        raise ValidationError(f"element {counts.index(0) + 1} appears in no member")
     return min(counts)
 
 

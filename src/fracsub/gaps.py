@@ -167,10 +167,7 @@ def stability_check(
         )
     if wf.classify().flavor != "partition":
         raise PreconditionError("stability needs a fractional partition")
-    if not wf.satisfies_standing_assumptions():
-        raise PreconditionError(
-            "family violates the standing assumptions; normalize first"
-        )
+    wf.require_standing_assumptions()
     sigma = wf.sigma()
     epsilon = require_finite(coerce_scalar(epsilon), "epsilon")
     if epsilon < 0:
@@ -228,10 +225,7 @@ def certify_modular_partial(
         )
     if wf.classify().flavor != "partition":
         raise PreconditionError("certification needs a fractional partition")
-    if not wf.satisfies_standing_assumptions():
-        raise PreconditionError(
-            "family violates the standing assumptions; normalize first"
-        )
+    wf.require_standing_assumptions()
     table = partial.as_dict()
     full = full_mask(partial.n)
     required = [m for m, _ in wf.members] + [full]
@@ -314,11 +308,8 @@ def equality_conditions_covering(
         branch, gap, special = "packing", gap_lower(f, wf), cls.under_covered
     else:
         raise PreconditionError("family is neither a covering nor a packing")
-    if not wf.satisfies_standing_assumptions():
-        # an unseparated element pair defeats the zero-gap -> modular step
-        raise PreconditionError(
-            "family violates the standing assumptions; normalize first"
-        )
+    # an unseparated element pair defeats the zero-gap -> modular step
+    wf.require_standing_assumptions()
     mono = is_nondecreasing(f, tol)
     if not mono:
         modv = is_modular(f, tol)

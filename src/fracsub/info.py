@@ -261,11 +261,8 @@ def independence_equality(
         gap, special = gap_lower(e, wf), cls.under_covered
     else:
         raise PreconditionError("family is neither a covering nor a packing")
-    if not wf.satisfies_standing_assumptions():
-        # unseparated pairs let correlated variables hide in one member
-        raise PreconditionError(
-            "family violates the standing assumptions; normalize first"
-        )
+    # unseparated pairs let correlated variables hide in one member
+    wf.require_standing_assumptions()
     gap_zero = bool(abs(gap) <= eps)
     dev = max_product_deviation(dist)
     tol_prime = _pinsker_tol(eps)
@@ -324,10 +321,7 @@ def divergence_equality(
         raise PreconditionError(
             "divergence equality handles partitions and coverings only"
         )
-    if not wf.satisfies_standing_assumptions():
-        raise PreconditionError(
-            "family violates the standing assumptions; normalize first"
-        )
+    wf.require_standing_assumptions()
     gap = gap_upper(d, wf)
     special = cls.over_covered
     dev = max_product_deviation(P)

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bitsets import member_bits
 from .errors import PreconditionError, ValidationError
 
 RELATIONS = ("=", "<=", ">=")
@@ -274,13 +275,8 @@ def verify(lp: RationalLP, outcome: LPOutcome) -> bool:
 
 def partition_polytope(n: int, masks) -> tuple[Constraint, ...]:
     """Equality rows: coverage of every element of [1:n] is exactly 1."""
-    rows = []
-    for i in range(n):
-        coeffs = tuple(
-            Fraction(1) if (m >> i) & 1 else Fraction(0) for m in masks
-        )
-        rows.append(Constraint(coeffs, "=", Fraction(1)))
-    return tuple(rows)
+    columns = member_bits(list(masks), n).T.tolist()
+    return tuple(Constraint(tuple(column), "=", 1) for column in columns)
 
 
 def maximize_partition_weighted_sum(n: int, masks, costs):
@@ -300,10 +296,7 @@ def maximize_partition_weighted_sum(n: int, masks, costs):
     for m in masks:
         if not 0 < m < full:
             raise ValidationError("members must be proper nonempty subsets")
-    prog = RationalLP(
-        tuple(_frac(c) for c in costs), partition_polytope(n, masks)
-    )
-    out = solve(prog)
+    out = solve(RationalLP(tuple(costs), partition_polytope(n, masks)))
     if out.status != "optimal":
         raise PreconditionError("family admits no fractional partition")
     kept = tuple((m, g) for m, g in zip(masks, out.solution) if g > 0)

@@ -184,12 +184,9 @@ def rank_equality_check(m: Matroid, wf: WeightedFamily) -> RankEqualityReport:
         raise ValidationError(f"matroid on [1:{m.n}] but family on [1:{wf.n}]")
     if wf.classify().flavor != "partition":
         raise PreconditionError("rank equality needs a fractional partition")
-    if not wf.satisfies_standing_assumptions():
-        # without a separating family the forward implication can fail
-        # (two parallel elements covered only jointly reach equality)
-        raise PreconditionError(
-            "family violates the standing assumptions; normalize first"
-        )
+    # without a separating family the forward implication can fail
+    # (two parallel elements covered only jointly reach equality)
+    wf.require_standing_assumptions()
     lhs = sum((w * m.rank(f) for f, w in wf.members), Fraction(0))
     rhs = m.rank(full_mask(m.n))
     equality = lhs == rhs

@@ -17,7 +17,7 @@ import numpy as np
 
 from fracsub import JointDistribution, SetFunction, WeightedFamily
 from fracsub.bitsets import full_mask, iter_bits, subsets
-from fracsub.errors import PreconditionError
+from fracsub.errors import PreconditionError, ValidationError
 from fracsub.families import FamilyClassification
 from fracsub.gauss import PDMatrix, principal_minor
 from fracsub.lp import Constraint, LPOutcome, RationalLP
@@ -147,6 +147,36 @@ def normalize_by_loops(wf: WeightedFamily):
                 nm |= 1 << gi
         new_members.append((nm, w))
     return WeightedFamily(len(groups), tuple(new_members)), merge_map
+
+
+def sigma_by_loops(wf: WeightedFamily) -> tuple[Fraction, tuple[int, int]]:
+    """Minimum separating weight and its first 1-indexed (i, j) pair,
+    one Fraction addition per (pair, member); zero is returned, not raised."""
+    best: Fraction | None = None
+    worst_pair = None
+    for i in range(wf.n):
+        for j in range(wf.n):
+            if i == j:
+                continue
+            s = Fraction(0)
+            for mask, w in wf.members:
+                if (mask >> i) & 1 and not (mask >> j) & 1:
+                    s += w
+            if best is None or s < best:
+                best, worst_pair = s, (i + 1, j + 1)
+    return best, worst_pair
+
+
+def min_multiplicity_by_loops(masks, n: int) -> int:
+    """Smallest cover count over elements, counted bit by bit."""
+    counts = [0] * n
+    for m in masks:
+        for b in iter_bits(m):
+            counts[b] += 1
+    for i, c in enumerate(counts):
+        if c == 0:
+            raise ValidationError(f"element {i + 1} appears in no member")
+    return min(counts)
 
 
 def coverage_by_hand(wf: WeightedFamily) -> list[Fraction]:

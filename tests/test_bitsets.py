@@ -8,6 +8,7 @@ from fracsub.bitsets import (
     full_mask,
     iter_bits,
     mask_of,
+    member_bits,
     subsets,
 )
 from fracsub.errors import ValidationError
@@ -68,3 +69,11 @@ def test_elements_mask_roundtrip(n, data):
     assert list(els) == sorted(els)
     if els:
         assert mask_of(els, n) == mask
+
+
+@given(st.integers(min_value=1, max_value=20), st.data())
+def test_member_bits_rows_are_the_masks_bits(n, data):
+    masks = data.draw(st.lists(st.integers(min_value=0, max_value=full_mask(n)), max_size=6))
+    bits = member_bits(masks, n)
+    assert bits.shape == (len(masks), n) and bits.dtype == "uint8"
+    assert bits.tolist() == [[(m >> i) & 1 for i in range(n)] for m in masks]

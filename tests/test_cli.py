@@ -516,3 +516,54 @@ def test_detineq_huge_diagonal_is_equality(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["result"]["equality"] is True
     assert ": equality;" in err
+
+
+# ------------------------------------------ negative numbers as flag values
+
+
+@pytest.mark.parametrize("value", ["-1e-9", "-.5e1", "-1", "-1/2"])
+@pytest.mark.parametrize("joined", [False, True])
+def test_negative_epsilon_reaches_its_check(capsys, singleton_files, value, joined):
+    # a separate "-1e-9" or "-.5e1" used to stop in argparse with
+    # "expected one argument"
+    flag = [f"--epsilon={value}"] if joined else ["--epsilon", value]
+    files = singleton_files
+    code, out, err = run(capsys, "stability", files["setfn"], files["family"], *flag)
+    assert (code, out) == (2, "")
+    assert "epsilon must be nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "tol, message",
+    [("-inf", "--tol must be finite"), ("-1e-3", "tolerance must be nonnegative")],
+)
+@pytest.mark.parametrize("joined", [False, True])
+def test_negative_tol_reaches_its_check(capsys, tmp_path, tol, message, joined):
+    m = write(tmp_path, "k.json", {"n": 2, "entries": [[2.0, 1.0], [1.0, 2.0]]})
+    flag = [f"--tol={tol}"] if joined else ["--tol", tol]
+    code, out, err = run(capsys, "detineq", m, "--preset", "hadamard", *flag)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_flag_followed_by_an_option_is_still_a_usage_error(capsys, singleton_files):
+    files = singleton_files
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", files["setfn"], files["family"], "--epsilon", "-h"])
+    assert exc.value.code == 2
+    assert "--epsilon: expected one argument" in capsys.readouterr().err
+
+
+# ---------------------------------------------------- internal disagreement
+
+
+def test_consistency_error_exits_4(capsys, tmp_path):
+    # K = I + 1e-4 (J - I), n = 10: the log gap (4.5e-7) is above tol while
+    # the off-diagonal maximum is below tol', so the two sides disagree.
+    # This is a bug path, not a false verdict: it used to exit 1.
+    n = 10
+    entries = [[1.0 if i == j else 1e-4 for j in range(n)] for i in range(n)]
+    m = write(tmp_path, "k.json", {"n": n, "entries": entries})
+    code, out, err = run(capsys, "detineq", m, "--preset", "hadamard")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal disagreement: ")

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracsub import (
     WeightedFamily,
@@ -21,11 +21,15 @@ from fracsub.fixtures import modular_mixed_signs, zero_gap_nonmonotone
 from _support import (
     classify_by_bits,
     coverage_by_hand,
+    min_multiplicity_by_loops,
     normalize_by_loops,
+    partition_lp,
     signature_groups_by_tuples,
     random_covering_family,
     random_packing_family,
     random_partition_family,
+    sigma_by_loops,
+    simplex_by_fractions,
 )
 
 
@@ -249,9 +253,9 @@ _weights = st.sampled_from(
 
 
 @st.composite
-def raw_families(draw):
-    """Members with duplicates, mixed weights and masks up to 20 bits."""
-    n = draw(st.integers(min_value=1, max_value=20))
+def raw_families(draw, min_n=1, max_n=20):
+    """Members with duplicates, mixed weights and masks up to max_n bits."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     member = st.tuples(st.integers(min_value=0, max_value=(1 << n) - 1), _weights)
     members = draw(st.lists(member, max_size=10))
     if members:
@@ -292,3 +296,74 @@ def test_normalize_matches_loop_oracle(wf):
         signature_groups_by_tuples(wf.n, [m for m, _ in wf.members])
     ) == wf.n
     assert wf.satisfies_standing_assumptions() == bool(positive and no_full and separated)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_families(min_n=2, max_n=8))
+@example(WeightedFamily(n=3, members=()))
+@example(fam(3, ((1, 2), 1), ((3,), 1)))  # 1 and 2 never separated
+@example(fam(3, ((1,), 0), ((2,), 1), ((3,), 1)))  # zero weight
+@example(fam(3, ((1,), "1/2"), ((1,), "1/2"), ((2,), 1), ((3,), 1)))  # duplicate
+@example(fam(4, ((1, 2), "1/3"), ((3,), "2/3"), ((4,), 5), ((1, 2, 3, 4), 1)))
+def test_sigma_matches_loop_oracle(wf):
+    best, pair = sigma_by_loops(wf)
+    if best == 0:
+        with pytest.raises(PreconditionError) as exc:
+            wf.sigma()
+        assert exc.value.witness == pair
+        assert str(exc.value) == f"sigma = 0: no member separates {pair[0]} from {pair[1]}"
+    else:
+        got = wf.sigma()
+        assert got == best and type(got) is Fraction
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sigma_of_random_partitions_matches_loop_oracle(n):
+    rng = random.Random(900 + n)
+    for _ in range(5):
+        wf = random_partition_family(n, rng)
+        assert wf.sigma() == sigma_by_loops(wf)[0] > 0
+
+
+def mask_lists(max_n):
+    """(n, masks) with n <= max_n, duplicates, empty and full-set masks."""
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=10)
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask_lists(8))
+@example((3, []))
+@example((3, [0b011, 0b011, 0b110]))
+def test_min_multiplicity_matches_loop_oracle(case):
+    n, masks = case
+    try:
+        expected = min_multiplicity_by_loops(masks, n)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            min_multiplicity(masks, n)
+        return
+    assert min_multiplicity(masks, n) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask_lists(5))
+@example((2, [0, 0b11, 0b01, 0b10]))
+@example((3, [0b011, 0b110, 0b101, 0b011]))
+def test_find_fractional_partition_matches_fraction_simplex(case):
+    n, masks = case
+    full = (1 << n) - 1
+    candidates = [m for m in masks if 0 < m < full]
+    got = find_fractional_partition(masks, n)
+    if not candidates:
+        assert got is None
+        return
+    out = simplex_by_fractions(partition_lp(n, candidates, [Fraction(1)] * len(candidates)))
+    if out.status != "optimal":
+        assert got is None
+        return
+    kept = tuple((m, g) for m, g in zip(candidates, out.solution) if g > 0)
+    assert got == WeightedFamily(n, kept)

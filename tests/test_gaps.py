@@ -11,6 +11,7 @@ from _support import (
     random_modular_table,
     random_packing_family,
     random_partition_family,
+    under_seconds,
 )
 from fracsub.errors import ConsistencyError, PreconditionError, ValidationError
 from fracsub.families import WeightedFamily, singleton_family
@@ -25,6 +26,7 @@ from fracsub.gaps import (
     shearer_check,
     stability_check,
 )
+from fracsub.gauss import preset_family
 from fracsub.setfn import PartialSetFunction, SetFunction, generate_submodular
 
 F = Fraction
@@ -237,12 +239,30 @@ def test_stability_preconditions():
         stability_check(h, singleton_family(2), -1)
 
 
+def test_stability_refuses_full_set_member():
+    # sigma = 1/2 > 0 here, so only the standing-assumption check refuses
+    f = SetFunction(2, (F(0), F(1), F(1), F(1)))
+    wf = fam(2, (0b01, "1/2"), (0b10, "1/2"), (0b11, "1/2"))
+    assert wf.classify().flavor == "partition" and wf.sigma() == F(1, 2)
+    with pytest.raises(PreconditionError, match="standing assumptions; normalize first"):
+        stability_check(f, wf, 1)
+
+
 def test_stability_float_instance():
     f = generate_submodular(3, 7, "entropy")
     wf = singleton_family(3)
     rep = stability_check(f, wf, gap_upper(f, wf))
     assert rep.satisfied
     assert isinstance(rep.bound, float)
+
+
+def test_stability_szasz_family_at_n16_is_fast():
+    # 12870 members of one weight: sigma from one integer B^T (1 - B)
+    f = generate_submodular(16, 1, "coverage")
+    wf = preset_family("szasz", 16, k=8)
+    with under_seconds(0.5, "stability with szasz:8 at n=16"):
+        rep = stability_check(f, wf, 0)
+    assert rep.sigma == F(8, 15)
 
 
 # -------------------------------------------------------- certify

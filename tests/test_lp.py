@@ -202,6 +202,15 @@ def test_partition_polytope_rows():
     assert rows[2].coeffs == (F(0), F(1), F(1))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, full_mask(n)), max_size=8))
+))
+def test_partition_polytope_matches_hand_built_rows(case):
+    n, masks = case
+    assert partition_polytope(n, masks) == partition_lp(n, masks, [0] * len(masks)).rows
+
+
 def test_maximize_partition_weighted_sum():
     masks = [0b001, 0b010, 0b100, 0b011, 0b110]
     wf, value = maximize_partition_weighted_sum(3, masks, [1, 1, 1, 5, 5])
