@@ -25,10 +25,12 @@ packing.  ``sigma`` is the separation constant
 the denominator of the stability bound; a normalized fractional
 partition always has sigma > 0.
 
-Coverage and sigma read one cached matrix, the member-by-element bit
-matrix of ``bitsets.member_bits`` in one block B_w per distinct weight
-w: c_i is sum_w w * (column i sum of B_w), and the separating weights
-are sum_w w * B_w^T (1 - B_w), counted in integers.
+Every family-weighted sum, sum gamma(S) * x(S) over the members, is
+``weighted_sum``, which reads one cached grouping of member positions
+by weight.  Coverage, sigma and the standing assumptions read the
+cached member-by-element bit matrix B of ``bitsets.member_bits``: c_i
+is the weighted sum of column i, and the separating weights are
+sum_w w * B_w^T (1 - B_w) over the rows B_w of weight w, in integers.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .bitsets import check_mask, complement, full_mask, iter_bits, member_bits
 from .errors import PreconditionError, ValidationError
+from .rationals import Scalar
 from . import lp
 
 
@@ -88,22 +92,41 @@ class WeightedFamily:
         object.__setattr__(self, "members", tuple(norm))
 
     @cached_property
-    def _bits(self) -> tuple[tuple[Fraction, np.ndarray], ...]:
-        """(w, B_w) per distinct weight w: the bit matrix of its members."""
+    def _groups(self) -> tuple[tuple[Fraction, np.ndarray], ...]:
+        """(w, positions in ``members`` of the weight-w members) per distinct w."""
         by_weight: dict[tuple[int, int], tuple[Fraction, list[int]]] = {}
-        for mask, w in self.members:
-            by_weight.setdefault((w.numerator, w.denominator), (w, []))[1].append(mask)
-        return tuple((w, member_bits(masks, self.n)) for w, masks in by_weight.values())
+        for k, (_, w) in enumerate(self.members):
+            by_weight.setdefault((w.numerator, w.denominator), (w, []))[1].append(k)
+        return tuple((w, np.array(pos, dtype=np.intp)) for w, pos in by_weight.values())
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """The member-by-element bit matrix, one row per member in order."""
+        return member_bits([m for m, _ in self.members], self.n)
+
+    def weighted_sum(self, values, exact: bool) -> Scalar:
+        """sum of gamma(S) * values[k] over members[k] = (S, gamma(S)).
+
+        Exact (int or Fraction values): one product per distinct weight,
+        and a Fraction result.  Binary64: one math.fsum of the products
+        float(gamma) * value, rounded once whatever the member order; a
+        sum past the binary64 range raises ValidationError.
+        """
+        values = np.asarray(values)
+        if exact:
+            return sum(
+                (w * sum(values[pos].tolist()) for w, pos in self._groups), Fraction(0)
+            )
+        try:
+            with np.errstate(over="raise"):
+                products = [(float(w) * values[pos]).tolist() for w, pos in self._groups]
+            return math.fsum(chain.from_iterable(products))
+        except (FloatingPointError, OverflowError):  # in a product or a partial sum
+            raise ValidationError("weighted member sum overflows binary64") from None
 
     @cached_property
     def classification(self) -> FamilyClassification:
-        # members counted per element in ints; then one exact product
-        # per (weight, element)
-        cov = [Fraction(0)] * self.n
-        for w, bits in self._bits:
-            for i, count in enumerate(bits.sum(axis=0).tolist()):
-                if count:
-                    cov[i] += w * count
+        cov = [self.weighted_sum(column, exact=True) for column in self._bits.T]
         over = tuple(i + 1 for i, c in enumerate(cov) if c > 1)
         under = tuple(i + 1 for i, c in enumerate(cov) if c < 1)
         if not over and not under:
@@ -120,7 +143,7 @@ class WeightedFamily:
         return self.classification
 
     def weight_total(self) -> Fraction:
-        return sum((w for _, w in self.members), Fraction(0))
+        return sum((w * len(pos) for w, pos in self._groups), Fraction(0))
 
     def dual(self) -> "WeightedFamily":
         """Complement family gamma(S)/(w-1) on the S^c; needs w > 1."""
@@ -141,10 +164,10 @@ class WeightedFamily:
             raise PreconditionError("sigma needs at least two ground elements")
         # separating weights as exact ints over the common denominator:
         # pair counts B_w^T (1 - B_w) in int64, then one product per (w, pair)
-        den = math.lcm(*(w.denominator for w, _ in self._bits))
+        den = math.lcm(*(w.denominator for w, _ in self._groups))
         sep = np.zeros((self.n, self.n), dtype=object)
-        for w, bits in self._bits:
-            b = bits.astype(np.int64)
+        for w, pos in self._groups:
+            b = self._bits[pos].astype(np.int64)
             sep += w.numerator * (den // w.denominator) * (b.T @ (1 - b)).astype(object)
         np.fill_diagonal(sep, math.inf)
         i, j = divmod(int(sep.argmin()), self.n)  # the first minimum in (i, j) order
@@ -157,10 +180,10 @@ class WeightedFamily:
 
     def satisfies_standing_assumptions(self) -> bool:
         """Positive weights, no full-set member, no always-co-occurring pair."""
-        if not self.members or any(w == 0 or b.all(axis=1).any() for w, b in self._bits):
+        zero_weight = any(w == 0 for w, _ in self._groups)
+        if not self.members or zero_weight or self._bits.all(axis=1).any():
             return False
-        blocks = [bits for _, bits in self._bits]
-        return self.n == 1 or len(_signature_groups(np.vstack(blocks))) == self.n
+        return self.n == 1 or len(_signature_groups(self._bits)) == self.n
 
     def require_standing_assumptions(self) -> None:
         """Refuse (PreconditionError) a family that needs ``normalize`` first."""
@@ -172,8 +195,8 @@ class WeightedFamily:
     def normalize(self) -> tuple["WeightedFamily", dict[int, int]]:
         """Standing cleanup; returns (family, merge map old -> new, 1-indexed)."""
         full = full_mask(self.n)
+        delta = self.weighted_sum([m == full for m, _ in self.members], exact=True)
         kept = [(m, w) for m, w in self.members if w != 0]
-        delta = sum((w for m, w in kept if m == full), Fraction(0))
         if delta >= 1:
             raise PreconditionError(
                 f"full-set weight {delta} >= 1 cannot be rescaled away"

@@ -25,13 +25,14 @@ over- respectively under-covered elements).  ``shearer_check`` is the
 integer-counting special case: with k the minimum cover multiplicity,
 k * f([1:n]) = sum of member values iff those same conditions hold.
 
+Each weighted member sum is ``WeightedFamily.weighted_sum`` over
+table entries, divided once by a rational table's denominator.
 Rational instances are compared exactly; float instances use the
 caller tolerance (default 2**-30).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,28 +58,25 @@ def _check_same_ground(f: SetFunction, wf: WeightedFamily) -> None:
         )
 
 
-def _weighted_sum(rational: bool, terms) -> Scalar:
-    """Sum of weight * value pairs, exact or compensated."""
-    if rational:
-        return sum((w * v for w, v in terms), Fraction(0))
-    return math.fsum(float(w) * v for w, v in terms)
+def _member_sum(f: SetFunction, wf: WeightedFamily, entries) -> Scalar:
+    """sum gamma(S) * entries[k] over the members, entries in f's table units."""
+    s = wf.weighted_sum(entries, f.is_rational)
+    return s / f.denominator if f.is_rational else s
 
 
 def gap_upper(f: SetFunction, wf: WeightedFamily) -> Scalar:
     _check_same_ground(f, wf)
-    s = _weighted_sum(f.is_rational, ((w, f.value(m)) for m, w in wf.members))
+    s = _member_sum(f, wf, f.table[[m for m, _ in wf.members]])
     return s - f.value(full_mask(f.n))
 
 
 def gap_lower(f: SetFunction, wf: WeightedFamily) -> Scalar:
     _check_same_ground(f, wf)
     full = full_mask(f.n)
-    top = f.value(full)
-    s = _weighted_sum(
-        f.is_rational,
-        ((w, top - f.value(full ^ m)) for m, w in wf.members),
-    )
-    return top - s
+    # f(S | S^c) = f([1:n]) - f(S^c), entry by entry; the table's int64
+    # guard covers the difference of two entries
+    s = _member_sum(f, wf, f.table[full] - f.table[[full ^ m for m, _ in wf.members]])
+    return f.value(full) - s
 
 
 def duality_residual(f: SetFunction, wf: WeightedFamily) -> Scalar:
@@ -226,6 +224,7 @@ def certify_modular_partial(
     if wf.classify().flavor != "partition":
         raise PreconditionError("certification needs a fractional partition")
     wf.require_standing_assumptions()
+    eps = effective_tol(partial.is_rational, tol)
     table = partial.as_dict()
     full = full_mask(partial.n)
     required = [m for m, _ in wf.members] + [full]
@@ -239,10 +238,7 @@ def certify_modular_partial(
             missing=missing,
             note="values missing for required subsets",
         )
-    eps = effective_tol(partial.is_rational, tol)
-    checked = _weighted_sum(
-        partial.is_rational, ((w, table[m]) for m, w in wf.members)
-    )
+    checked = wf.weighted_sum([table[m] for m, _ in wf.members], partial.is_rational)
     target = table[full]
     equal = abs(checked - target) <= eps
     if not equal:
@@ -365,11 +361,8 @@ def shearer_check(f: SetFunction, masks, tol: float | None = None) -> ShearerRep
     k = min_multiplicity(masks, f.n)
     wf = WeightedFamily(f.n, tuple((m, Fraction(1, k)) for m in masks))
     detail = equality_conditions_covering(f, wf, tol)
-    member_sum = (
-        sum((f.value(m) for m in masks), Fraction(0))
-        if f.is_rational
-        else math.fsum(f.value(m) for m in masks)
-    )
+    unit = WeightedFamily(f.n, tuple((m, 1) for m in masks))
+    member_sum = _member_sum(f, unit, f.table[list(masks)])
     scaled = k * f.value(full_mask(f.n))
     return ShearerReport(
         k=k,

@@ -27,7 +27,7 @@ import numpy as np
 from .bitsets import MAX_GROUND, complement, elements, full_mask, mask_of, subsets
 from .errors import ConsistencyError, PreconditionError, ValidationError
 from .families import WeightedFamily, singleton_family
-from .rationals import GAUSS_TOL, require_finite
+from .rationals import GAUSS_TOL, effective_tol
 from .setfn import SetFunction
 
 __all__ = [
@@ -177,11 +177,7 @@ def det_equality_check(
     where a log-det perturbation of size tol lands for off-diagonal
     leakage.
     """
-    if tol is None:
-        tol = GAUSS_TOL
-    tol = float(require_finite(tol, "tolerance"))
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
+    tol = float(effective_tol(False, GAUSS_TOL if tol is None else tol))
     if K.n != wf.n:
         raise ValidationError(f"matrix order {K.n} but family on [1:{wf.n}]")
     if wf.classify().flavor != "partition":
@@ -189,33 +185,21 @@ def det_equality_check(
             "determinant equality needs a fractional partition"
         )
     _, merge_map = wf.normalize()
-    groups: dict[int, list[int]] = {}
-    for orig, image in merge_map.items():
-        groups.setdefault(image, []).append(orig)
+    block = np.array([merge_map[i] for i in range(1, K.n + 1)])  # groups numbered 1..k
     merge_groups = tuple(
-        tuple(sorted(g)) for _, g in sorted(groups.items())
+        tuple((np.flatnonzero(block == g) + 1).tolist()) for g in range(1, block.max() + 1)
     )
 
-    log_rhs, *log_members = log_principal_minors(
-        K, [full_mask(K.n)] + [m for m, _ in wf.members]
-    ).tolist()
-    log_lhs = math.fsum(
-        float(w) * log_m for (_, w), log_m in zip(wf.members, log_members)
-    )
+    logs = log_principal_minors(K, [full_mask(K.n)] + [m for m, _ in wf.members])
+    log_rhs = float(logs[0])
+    log_lhs = wf.weighted_sum(logs[1:], exact=False)
     log_gap = log_lhs - log_rhs
     equality = bool(abs(log_gap) <= tol)
 
     diag_max = float(np.max(np.diag(K.entries)))
     tol_prime = math.sqrt(tol) * diag_max
-    block_of = {}
-    for gi, grp in enumerate(merge_groups):
-        for i in grp:
-            block_of[i] = gi
-    offdiag_max = 0.0
-    for i in range(1, K.n + 1):
-        for j in range(i + 1, K.n + 1):
-            if block_of[i] != block_of[j]:
-                offdiag_max = max(offdiag_max, abs(float(K.entries[i - 1, j - 1])))
+    cross = block[:, None] != block[None, :]
+    offdiag_max = float(np.abs(K.entries[cross]).max(initial=0.0))
     diagonal_ok = bool(offdiag_max <= tol_prime)
 
     report = DetEqualityReport(
@@ -257,7 +241,7 @@ def preset_family(
             raise ValidationError(f"szasz needs 1 <= k <= n-1, got k={k}")
         weight = Fraction(1, comb(n - 1, k - 1))
         members = tuple(
-            (mask_of(c, n), weight) for c in combinations(range(1, n + 1), k)
+            (sum(1 << i for i in c), weight) for c in combinations(range(n), k)
         )
         return WeightedFamily(n=n, members=members)
     if name == "fischer":

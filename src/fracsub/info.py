@@ -378,7 +378,7 @@ def family_mutual_information(
         raise PreconditionError("family mutual information needs a fractional partition")
     h_full = entropy(dist, full_mask(dist.n))
     comps = tuple((m, w, entropy(dist, m)) for m, w in wf.members)
-    value = math.fsum(float(w) * h for _, w, h in comps) - h_full
+    value = wf.weighted_sum([h for _, _, h in comps], exact=False) - h_full
     return MMIResult(value=value, family=wf, components=comps, joint_entropy=h_full)
 
 
@@ -552,14 +552,11 @@ def mmi_recursion_residual(
     proj = project_family(wf)
     sub = marginal_distribution(dist, reduced)
     mi_proj = family_mutual_information(sub, proj).value
-    link = math.fsum(
-        float(w)
-        * conditional_mutual_information(
-            dist, last_bit, reduced & ~m, m & reduced
-        )
-        for m, w in wf.members
-        if m & last_bit
-    )
+    cmi = [
+        conditional_mutual_information(dist, last_bit, reduced & ~m, m & reduced)
+        if m & last_bit else 0.0 for m, _ in wf.members
+    ]
+    link = wf.weighted_sum(cmi, exact=False)
     attachment = conditional_mutual_information(dist, last_bit, reduced, 0)
     residual = abs(mi_full - (mi_proj + link))
     eps = float(effective_tol(False, tol))

@@ -187,7 +187,7 @@ def rank_equality_check(m: Matroid, wf: WeightedFamily) -> RankEqualityReport:
     # without a separating family the forward implication can fail
     # (two parallel elements covered only jointly reach equality)
     wf.require_standing_assumptions()
-    lhs = sum((w * m.rank(f) for f, w in wf.members), Fraction(0))
+    lhs = wf.weighted_sum([m.rank(f) for f, _ in wf.members], exact=True)
     rhs = m.rank(full_mask(m.n))
     equality = lhs == rhs
     loop_els = loops(m)

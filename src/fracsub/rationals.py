@@ -3,9 +3,9 @@
 A set-function instance is either exact-rational (fractions.Fraction
 throughout) or binary64 (Python float); the two are never mixed inside
 one table.  Family weights are always rational.  Rational comparisons
-are exact: any tolerance supplied for a rational instance is forced to
-zero.  The default float tolerance is 2**-30 (the CLI reads FRACSUB_TOL
-to override it).
+are exact: any tolerance supplied for a rational instance is checked
+(finite, nonnegative) and then forced to zero.  The default float
+tolerance is 2**-30 (the CLI reads FRACSUB_TOL to override it).
 """
 
 from __future__ import annotations
@@ -59,12 +59,8 @@ def require_finite(value, what: str):
 
 def effective_tol(is_rational: bool, tol: float | None) -> Scalar:
     """Resolve a caller tolerance against the instance's scalar kind."""
-    if tol is not None:
-        require_finite(tol, "tolerance")
+    if tol is not None and require_finite(tol, "tolerance") < 0:
+        raise ValidationError("tolerance must be nonnegative")
     if is_rational:
         return Fraction(0)
-    if tol is None:
-        return DEFAULT_TOL
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
-    return float(tol)
+    return DEFAULT_TOL if tol is None else float(tol)

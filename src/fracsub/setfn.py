@@ -206,8 +206,9 @@ class PartialSetFunction:
 
 
 def _scan_tol(f: SetFunction, tol: float | None):
+    eps = effective_tol(f.is_rational, tol)
     # rational numerators share a positive denominator: compare them exactly
-    return 0 if f.is_rational else effective_tol(False, tol)
+    return 0 if f.is_rational else eps
 
 
 def _element_faces(f: SetFunction, i: int):

@@ -8,6 +8,7 @@ evidence and not tautology.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -177,6 +178,25 @@ def min_multiplicity_by_loops(masks, n: int) -> int:
         if c == 0:
             raise ValidationError(f"element {i + 1} appears in no member")
     return min(counts)
+
+
+def weighted_sum_by_members(wf: WeightedFamily, values, exact: bool):
+    """sum gamma(S) * values[k], one product and one addition per member."""
+    pairs = zip((w for _, w in wf.members), values)
+    if exact:
+        return sum((w * v for w, v in pairs), Fraction(0))
+    return math.fsum(float(w) * v for w, v in pairs)
+
+
+def gap_upper_by_members(f: SetFunction, wf: WeightedFamily):
+    s = weighted_sum_by_members(wf, [f.value(m) for m, _ in wf.members], f.is_rational)
+    return s - f.value(full_mask(f.n))
+
+
+def gap_lower_by_members(f: SetFunction, wf: WeightedFamily):
+    top = f.value(full_mask(f.n))
+    conds = [top - f.value(full_mask(f.n) ^ m) for m, _ in wf.members]
+    return top - weighted_sum_by_members(wf, conds, f.is_rational)
 
 
 def coverage_by_hand(wf: WeightedFamily) -> list[Fraction]:

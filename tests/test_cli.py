@@ -533,17 +533,52 @@ def test_negative_epsilon_reaches_its_check(capsys, singleton_files, value, join
     assert "epsilon must be nonnegative" in err
 
 
+_NONNEGATIVE = "tolerance must be nonnegative"
+
+
 @pytest.mark.parametrize(
-    "tol, message",
-    [("-inf", "--tol must be finite"), ("-1e-3", "tolerance must be nonnegative")],
+    "tol, message, command",
+    [
+        pytest.param(
+            "-inf", "--tol must be finite", "detineq", id="-inf---tol must be finite"
+        ),
+        pytest.param("-1e-3", _NONNEGATIVE, "detineq", id=f"-1e-3-{_NONNEGATIVE}"),
+        # a rational table used to force any tol to 0 before the sign check
+        ("-1e-3", _NONNEGATIVE, "stability"),
+        ("-1", _NONNEGATIVE, "gaps"),
+        ("-0.5", _NONNEGATIVE, "equality"),
+    ],
 )
 @pytest.mark.parametrize("joined", [False, True])
-def test_negative_tol_reaches_its_check(capsys, tmp_path, tol, message, joined):
-    m = write(tmp_path, "k.json", {"n": 2, "entries": [[2.0, 1.0], [1.0, 2.0]]})
+def test_negative_tol_reaches_its_check(
+    capsys, tmp_path, singleton_files, tol, message, command, joined
+):
+    if command == "detineq":
+        m = write(tmp_path, "k.json", {"n": 2, "entries": [[2.0, 1.0], [1.0, 2.0]]})
+        argv = ["detineq", m, "--preset", "hadamard"]
+    else:
+        argv = [command, singleton_files["setfn"], singleton_files["family"]]
+        argv += ["--epsilon", "1"] if command == "stability" else []
     flag = [f"--tol={tol}"] if joined else ["--tol", tol]
-    code, out, err = run(capsys, "detineq", m, "--preset", "hadamard", *flag)
+    code, out, err = run(capsys, *argv, *flag)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["gaps", "certify"])
+def test_float_sum_past_binary64_range_exits_2(capsys, tmp_path, command):
+    # f({1}) + f({2}) = 2e308 used to escape as an uncaught OverflowError
+    big = (1e308, 1e308, 1.5e308)
+    family = write(tmp_path, "g.json", dump_family(singleton_family(2)))
+    if command == "certify":
+        entries = [{"set": s, "value": v} for s, v in zip(([1], [2], [1, 2]), big)]
+        table = write(tmp_path, "p.json", {"n": 2, "entries": entries})
+    else:
+        doc = {"n": 2, "values": [0.0, *big], "scalar": "float"}
+        table = write(tmp_path, "f.json", doc)
+    code, out, err = run(capsys, command, table, family)
+    assert (code, out) == (2, "")
+    assert "weighted member sum overflows binary64" in err
 
 
 def test_flag_followed_by_an_option_is_still_a_usage_error(capsys, singleton_files):

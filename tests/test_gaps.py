@@ -4,14 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from _support import (
+    classify_by_bits,
+    gap_lower_by_members,
+    gap_upper_by_members,
     modular_from_singletons,
     random_covering_family,
     random_modular_table,
     random_packing_family,
     random_partition_family,
     under_seconds,
+    weighted_sum_by_members,
 )
 from fracsub.errors import ConsistencyError, PreconditionError, ValidationError
 from fracsub.families import WeightedFamily, singleton_family
@@ -263,6 +268,106 @@ def test_stability_szasz_family_at_n16_is_fast():
     with under_seconds(0.5, "stability with szasz:8 at n=16"):
         rep = stability_check(f, wf, 0)
     assert rep.sigma == F(8, 15)
+
+
+# ---------------------------------- weighted member sums vs the oracle
+
+
+def _same(got, expected):
+    """Equal value and type; floats bit for bit, sign of zero included."""
+    assert type(got) is type(expected)
+    if isinstance(got, float):
+        assert got.hex() == expected.hex()
+    else:
+        assert got == expected
+
+
+_weights = st.sampled_from([F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(7, 12), F(5, 2)])
+_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _members(draw, n):
+    """Up to 8 members with mixed and zero weights, plus duplicates."""
+    member = st.tuples(st.integers(min_value=0, max_value=(1 << n) - 1), _weights)
+    members = draw(st.lists(member, max_size=8))
+    if members:
+        members += draw(st.lists(st.sampled_from(members), max_size=3))
+    return WeightedFamily(n, tuple(members))
+
+
+@st.composite
+def tables_and_families(draw):
+    """(f, wf): int64, object-int or float tables with n <= 5."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(["int64", "object", "float"]))
+    scalars = _floats if kind == "float" else _fractions
+    vals = draw(st.lists(scalars, min_size=1 << n, max_size=1 << n))
+    if kind == "object":
+        vals[-1] += 1 << 62  # past the int64 guard
+    f = SetFunction(n, vals)
+    assert f.table.dtype == {"int64": "int64", "object": "O", "float": "float64"}[kind]
+    return f, _members(draw, n)
+
+
+@st.composite
+def families_and_values(draw):
+    """(wf, values, exact): Fraction values (as in a partial table) or floats."""
+    wf = _members(draw, draw(st.integers(min_value=1, max_value=4)))
+    exact = draw(st.booleans())
+    k = len(wf.members)
+    return wf, draw(st.lists(_fractions if exact else _floats, min_size=k, max_size=k)), exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_and_families())
+@example((SetFunction(2, (F(0), F(1), F(1), F(1))), WeightedFamily(2, ())))
+@example((SetFunction(1, (0.0, -0.0)), WeightedFamily(1, ((1, F(1, 3)), (1, F(0))))))
+def test_gaps_and_classification_match_per_member_oracle(case):
+    f, wf = case
+    _same(gap_upper(f, wf), gap_upper_by_members(f, wf))
+    _same(gap_lower(f, wf), gap_lower_by_members(f, wf))
+    assert wf.classify() == classify_by_bits(wf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families_and_values())
+def test_weighted_sum_matches_per_member_oracle(case):
+    wf, values, exact = case
+    _same(wf.weighted_sum(values, exact), weighted_sum_by_members(wf, values, exact))
+
+
+def test_exact_gaps_at_the_int64_guard_edge():
+    # numerators just below the guard stay int64, and 400 of them sum
+    # past 2**63: the per-weight sum must not wrap
+    big = (1 << 60) // 6 - 1
+    f = SetFunction(2, (F(0), F(big - 1), F(big - 2), F(big)))
+    assert f.table.dtype == "int64"
+    wf = WeightedFamily(2, ((0b11, F(1, 3)),) * 400 + ((0b01, F(1, 2)), (0b10, F(2))) * 60)
+    _same(gap_upper(f, wf), gap_upper_by_members(f, wf))
+    _same(gap_lower(f, wf), gap_lower_by_members(f, wf))
+
+
+@pytest.mark.parametrize(
+    "values, weight",
+    [((1e308, 1e308), F(1)), ((1e308, 0.0), F(5, 2))],  # a partial sum, a product
+)
+def test_float_sum_past_binary64_range_is_a_validation_error(values, weight):
+    wf = WeightedFamily(2, ((0b01, weight), (0b10, weight)))
+    with pytest.raises(ValidationError, match="overflows binary64"):
+        wf.weighted_sum(values, exact=False)
+
+
+def test_gaps_szasz_family_at_n16_are_fast():
+    # 12870 members of one weight: one exact product for the whole sum
+    f = generate_submodular(16, 1, "coverage")
+    wf = preset_family("szasz", 16, k=8)
+    with under_seconds(0.03, "gap_upper + gap_lower with szasz:8 at n=16"):
+        gu, gl = gap_upper(f, wf), gap_lower(f, wf)
+    assert (gu, gl) == (gap_upper_by_members(f, wf), gap_lower_by_members(f, wf))
 
 
 # -------------------------------------------------------- certify

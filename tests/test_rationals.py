@@ -49,6 +49,8 @@ def test_coerce_scalar():
 def test_effective_tol_rational_is_exact_zero():
     t = effective_tol(True, 1e-3)
     assert t == 0 and isinstance(t, Fraction)
+    with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+        effective_tol(True, -1e-3)  # a bad argument, even where it is ignored
 
 
 def test_effective_tol_float_defaults():
